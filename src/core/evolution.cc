@@ -111,12 +111,12 @@ tensor::Tensor EvolutionFusion::Fuse(const EvolutionCheckpoints& checkpoints,
 
   // Materializes checkpoint `c` states for the node batch as a leaf.
   auto checkpoint_tensor = [&](int64_t c) {
-    std::vector<float> data(static_cast<size_t>(n * d));
+    ts::Tensor out = ts::Tensor::Zeros(n, d);
     for (int64_t i = 0; i < n; ++i) {
       const float* s = checkpoints.StateAt(c, nodes[static_cast<size_t>(i)]);
-      std::copy(s, s + d, data.begin() + i * d);
+      std::copy(s, s + d, out.data() + i * d);
     }
-    return ts::Tensor::FromVector(n, d, std::move(data));
+    return out;
   };
 
   switch (variant_) {
@@ -131,16 +131,14 @@ tensor::Tensor EvolutionFusion::Fuse(const EvolutionCheckpoints& checkpoints,
       // Query: the freshest checkpoint; candidates: the full sequence
       // grouped per node (slot i*l + c).
       ts::Tensor query = checkpoint_tensor(l - 1);
-      std::vector<float> cand(static_cast<size_t>(n * l * d));
+      ts::Tensor candidates = ts::Tensor::Zeros(n * l, d);
       for (int64_t i = 0; i < n; ++i) {
         for (int64_t c = 0; c < l; ++c) {
           const float* s =
               checkpoints.StateAt(c, nodes[static_cast<size_t>(i)]);
-          std::copy(s, s + d, cand.begin() + (i * l + c) * d);
+          std::copy(s, s + d, candidates.data() + (i * l + c) * d);
         }
       }
-      ts::Tensor candidates =
-          ts::Tensor::FromVector(n * l, d, std::move(cand));
       std::vector<uint8_t> valid(static_cast<size_t>(n * l), 1);
       return attention_->Forward(query, candidates, l, valid);
     }

@@ -27,22 +27,15 @@ tensor::Tensor CpdgPretrainer::PoolSubgraphs(
     dgnn::DgnnEncoder* encoder,
     const std::vector<sampler::ArenaNodeVec>& subgraphs) {
   std::vector<NodeId> all;
-  std::vector<std::pair<int64_t, int64_t>> spans;  // (offset, length)
+  std::vector<int64_t> offsets = {0};
   for (const auto& sg : subgraphs) {
     CPDG_CHECK(!sg.empty());
-    spans.emplace_back(static_cast<int64_t>(all.size()),
-                       static_cast<int64_t>(sg.size()));
     all.insert(all.end(), sg.begin(), sg.end());
+    offsets.push_back(static_cast<int64_t>(all.size()));
   }
   // One flush for every subgraph node, then per-anchor mean pooling
   // (the Readout of Eq. 9-10 / 12-13 over memory states).
-  ts::Tensor states = encoder->ComputeUpdatedStates(all);
-  std::vector<ts::Tensor> pooled;
-  pooled.reserve(spans.size());
-  for (const auto& [offset, length] : spans) {
-    pooled.push_back(ts::ColMean(ts::SliceRows(states, offset, length)));
-  }
-  return ts::ConcatRows(pooled);
+  return ts::SegmentMean(encoder->ComputeUpdatedStates(all), offsets);
 }
 
 CpdgPretrainer::PreparedContrast CpdgPretrainer::PrepareContrast(

@@ -137,10 +137,13 @@ void DgnnEncoder::AttachGraph(const graph::GraphStore* graph) {
   CPDG_CHECK_LE(graph->num_nodes(), config_.num_nodes);
   graph_ = graph;
   memory_.Reset();
-  updated_states_.clear();
+  BeginBatch();
 }
 
-void DgnnEncoder::BeginBatch() { updated_states_.clear(); }
+void DgnnEncoder::BeginBatch() {
+  updated_states_.clear();
+  flush_blocks_.clear();
+}
 
 tensor::Tensor DgnnEncoder::NodeFeatures(
     const std::vector<NodeId>& nodes) const {
@@ -277,43 +280,44 @@ void DgnnEncoder::FlushNodes(const std::vector<NodeId>& nodes) {
       plain.push_back(v);
     }
   }
+  // Each flush output becomes one block; the cache refers into it by row.
+  auto add_block = [this](const std::vector<NodeId>& block_nodes,
+                          ts::Tensor block) {
+    int64_t table = static_cast<int64_t>(flush_blocks_.size());
+    flush_blocks_.push_back(std::move(block));
+    for (size_t i = 0; i < block_nodes.size(); ++i) {
+      updated_states_.emplace(block_nodes[i],
+                              ts::RowRef{table, static_cast<int64_t>(i)});
+    }
+  };
   if (!to_update.empty()) {
     static obs::Counter& state_updates =
         obs::MetricsRegistry::Global().counter("dgnn.memory.state_updates");
     state_updates.Add(static_cast<int64_t>(to_update.size()));
-    ts::Tensor updated = UpdateStates(to_update);
-    for (size_t i = 0; i < to_update.size(); ++i) {
-      updated_states_.emplace(
-          to_update[i],
-          ts::SliceRows(updated, static_cast<int64_t>(i), 1));
-    }
+    add_block(to_update, UpdateStates(to_update));
   }
-  if (!plain.empty()) {
-    ts::Tensor states = memory_.GetStates(plain);
-    for (size_t i = 0; i < plain.size(); ++i) {
-      updated_states_.emplace(
-          plain[i], ts::SliceRows(states, static_cast<int64_t>(i), 1));
-    }
-  }
-}
-
-tensor::Tensor DgnnEncoder::NodeState(NodeId node) {
-  auto it = updated_states_.find(node);
-  if (it == updated_states_.end()) {
-    FlushNodes({node});
-    it = updated_states_.find(node);
-  }
-  return it->second;
+  if (!plain.empty()) add_block(plain, memory_.GetStates(plain));
 }
 
 tensor::Tensor DgnnEncoder::ComputeUpdatedStates(
     const std::vector<NodeId>& nodes) {
   CPDG_CHECK(!nodes.empty());
   FlushNodes(nodes);
-  std::vector<ts::Tensor> rows;
-  rows.reserve(nodes.size());
-  for (NodeId v : nodes) rows.push_back(NodeState(v));
-  return ts::ConcatRows(rows);
+  // The gather's parents are the blocks it reads, in order of first use,
+  // so the backward pass visits the flush graphs in query order.
+  std::vector<ts::Tensor> tables;
+  std::vector<int64_t> table_of_block(flush_blocks_.size(), -1);
+  std::vector<ts::RowRef> refs(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    ts::RowRef ref = updated_states_.at(nodes[i]);
+    int64_t& table = table_of_block[static_cast<size_t>(ref.table)];
+    if (table < 0) {
+      table = static_cast<int64_t>(tables.size());
+      tables.push_back(flush_blocks_[static_cast<size_t>(ref.table)]);
+    }
+    refs[i] = {table, ref.row};
+  }
+  return ts::Gather(tables, refs);
 }
 
 tensor::Tensor DgnnEncoder::ComputeEmbeddings(
@@ -391,13 +395,16 @@ void DgnnEncoder::CommitBatch(const std::vector<graph::Event>& events) {
       "dgnn.memory.messages_enqueued");
   messages.Add(2 * static_cast<int64_t>(events.size()));
   // Persist flushed states (detached) and consume their pending messages.
-  for (auto& [node, state] : updated_states_) {
+  for (const auto& [node, ref] : updated_states_) {
     if (memory_.HasPending(node)) {
-      memory_.SetStates({node}, state);
+      memory_.SetState(node, flush_blocks_[static_cast<size_t>(ref.table)]
+                                     .data() +
+                                 ref.row * memory_.dim());
       memory_.ClearPending(node);
     }
   }
   updated_states_.clear();
+  flush_blocks_.clear();
 
   // Enqueue this batch's interactions for both endpoints. The message's
   // delta is computed lazily at flush time from last_update, so order

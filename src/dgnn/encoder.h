@@ -12,6 +12,7 @@
 #include "sampler/samplers.h"
 #include "tensor/arena.h"
 #include "tensor/nn.h"
+#include "tensor/ops.h"
 #include "util/rng.h"
 
 namespace cpdg::dgnn {
@@ -124,10 +125,6 @@ class DgnnEncoder : public tensor::Module {
                     int64_t batch_size);
 
  private:
-  /// Returns the (possibly flush-updated) state row of `node` as a [1,dim]
-  /// tensor on the current batch graph.
-  tensor::Tensor NodeState(NodeId node);
-
   /// Flushes pending messages for all uncached nodes in `nodes`.
   void FlushNodes(const std::vector<NodeId>& nodes);
 
@@ -165,13 +162,16 @@ class DgnnEncoder : public tensor::Module {
   std::unique_ptr<tensor::Linear> embed_output_;
   tensor::Tensor node_features_;  // [num_nodes, memory_dim] static features
 
-  // Per-batch cache of flushed state rows. The map's node and bucket
-  // allocations ride the batch arena (one insert per flushed node per
-  // batch; cleared every BeginBatch/CommitBatch).
-  std::unordered_map<NodeId, tensor::Tensor, std::hash<NodeId>,
+  // Per-batch cache of flushed states: each flush's output is one block in
+  // `flush_blocks_`, and `updated_states_` maps a node to its (block, row).
+  // The map's node and bucket allocations ride the batch arena (one insert
+  // per flushed node per batch; both are cleared every
+  // BeginBatch/CommitBatch).
+  std::vector<tensor::Tensor> flush_blocks_;
+  std::unordered_map<NodeId, tensor::RowRef, std::hash<NodeId>,
                      std::equal_to<NodeId>,
                      tensor::ArenaAllocator<
-                         std::pair<const NodeId, tensor::Tensor>>>
+                         std::pair<const NodeId, tensor::RowRef>>>
       updated_states_;
 };
 

@@ -1,5 +1,6 @@
 #include "dgnn/memory.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/byte_codec.h"
@@ -25,16 +26,14 @@ void Memory::Reset() {
 
 tensor::Tensor Memory::GetStates(const std::vector<NodeId>& nodes) const {
   CPDG_CHECK(!nodes.empty());
-  std::vector<float> data(nodes.size() * static_cast<size_t>(dim_));
+  tensor::Tensor out =
+      tensor::Tensor::Zeros(static_cast<int64_t>(nodes.size()), dim_);
+  float* dst = out.data();
   for (size_t i = 0; i < nodes.size(); ++i) {
-    NodeId v = nodes[i];
-    CPDG_CHECK_GE(v, 0);
-    CPDG_CHECK_LT(v, num_nodes_);
-    std::copy(states_.begin() + v * dim_, states_.begin() + (v + 1) * dim_,
-              data.begin() + static_cast<int64_t>(i) * dim_);
+    std::copy_n(StateData(nodes[i]), dim_,
+                dst + static_cast<int64_t>(i) * dim_);
   }
-  return tensor::Tensor::FromVector(static_cast<int64_t>(nodes.size()), dim_,
-                                    std::move(data));
+  return out;
 }
 
 void Memory::SetStates(const std::vector<NodeId>& nodes,
@@ -51,6 +50,13 @@ void Memory::SetStates(const std::vector<NodeId>& nodes,
               src + static_cast<int64_t>(i + 1) * dim_,
               states_.begin() + v * dim_);
   }
+}
+
+void Memory::SetState(NodeId node, const float* row) {
+  CPDG_CHECK_GE(node, 0);
+  CPDG_CHECK_LT(node, num_nodes_);
+  ++version_;
+  std::copy_n(row, dim_, states_.begin() + node * dim_);
 }
 
 const float* Memory::StateData(NodeId node) const {

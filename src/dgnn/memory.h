@@ -55,6 +55,9 @@ class Memory {
   void SetStates(const std::vector<NodeId>& nodes,
                  const tensor::Tensor& states);
 
+  /// Copies the dim() floats at `row` into node `node`'s slot.
+  void SetState(NodeId node, const float* row);
+
   /// Direct read access to one node's state.
   const float* StateData(NodeId node) const;
 

@@ -123,18 +123,13 @@ train::TrainTelemetry PretrainDdgcl(dgnn::DgnnEncoder* encoder,
         // Pool each view from memory states.
         auto pool = [&](const std::vector<std::vector<NodeId>>& views) {
           std::vector<NodeId> all;
-          std::vector<std::pair<int64_t, int64_t>> spans;
+          std::vector<int64_t> offsets = {0};
           for (const auto& v : views) {
-            spans.emplace_back(static_cast<int64_t>(all.size()),
-                               static_cast<int64_t>(v.size()));
             all.insert(all.end(), v.begin(), v.end());
+            offsets.push_back(static_cast<int64_t>(all.size()));
           }
-          ts::Tensor states = encoder->ComputeUpdatedStates(all);
-          std::vector<ts::Tensor> rows;
-          for (const auto& [off, len] : spans) {
-            rows.push_back(ts::ColMean(ts::SliceRows(states, off, len)));
-          }
-          return ts::ConcatRows(rows);
+          return ts::SegmentMean(encoder->ComputeUpdatedStates(all),
+                                 offsets);
         };
         ts::Tensor h_recent = pool(view_recent);
         ts::Tensor h_earlier = pool(view_earlier);

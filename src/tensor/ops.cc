@@ -53,6 +53,8 @@ void ParallelRows(int64_t rows, int64_t row_cost,
   util::ThreadPool::Global().ParallelFor(0, rows, grain, fn);
 }
 
+using IndexVec = std::vector<int64_t, ArenaAllocator<int64_t>>;
+
 // Shapes are equal, or b is a [1, cols] row broadcast over a's rows.
 enum class BroadcastKind { kSame, kRow };
 
@@ -152,7 +154,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
         }
         if (b.requires_grad()) {
           // Negated upstream gradient for the subtrahend.
-          std::vector<float> neg(static_cast<size_t>(n * d));
+          FloatBuffer neg(static_cast<size_t>(n * d));
           ParallelElems(n * d, [&](int64_t lo, int64_t hi) {
             simd::Negate(dout + lo, neg.data() + lo, hi - lo);
           });
@@ -200,7 +202,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
         }
         if (b.requires_grad()) {
           // d(a*b)/db = a, so scale by a before (possibly) reducing rows.
-          std::vector<float> scaled(static_cast<size_t>(n * d));
+          FloatBuffer scaled(static_cast<size_t>(n * d));
           ParallelElems(n * d, [&](int64_t lo, int64_t hi) {
             simd::Mul(dout + lo, pa + lo, scaled.data() + lo, hi - lo);
           });
@@ -499,6 +501,43 @@ Tensor ColMean(const Tensor& a) {
   return out;
 }
 
+Tensor SegmentMean(const Tensor& a, const std::vector<int64_t>& offsets) {
+  CPDG_CHECK_GE(offsets.size(), 2u);
+  CPDG_CHECK_EQ(offsets.front(), 0);
+  CPDG_CHECK_EQ(offsets.back(), a.rows());
+  for (size_t s = 1; s < offsets.size(); ++s) {
+    CPDG_CHECK_LT(offsets[s - 1], offsets[s]) << "empty segment " << s - 1;
+  }
+  int64_t k = static_cast<int64_t>(offsets.size()) - 1, d = a.cols();
+  Tensor out = Tensor::MakeOpResult(
+      k, d, {a},
+      [a, bounds = IndexVec(offsets.begin(), offsets.end()), k,
+       d](Tensor& self) mutable {
+        const float* dout = self.grad();
+        float* ga = a.grad();
+        for (int64_t s = 0; s < k; ++s) {
+          float inv = 1.0f / static_cast<float>(bounds[s + 1] - bounds[s]);
+          for (int64_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+            for (int64_t c = 0; c < d; ++c) {
+              ga[r * d + c] += dout[s * d + c] * inv;
+            }
+          }
+        }
+      },
+      "segment_mean");
+  const float* pa = a.data();
+  float* po = out.data();
+  for (int64_t s = 0; s < k; ++s) {
+    int64_t lo = offsets[s], hi = offsets[s + 1];
+    for (int64_t c = 0; c < d; ++c) {
+      double acc = 0.0;
+      for (int64_t r = lo; r < hi; ++r) acc += pa[r * d + c];
+      po[s * d + c] = static_cast<float>(acc / static_cast<double>(hi - lo));
+    }
+  }
+  return out;
+}
+
 Tensor Concat(const Tensor& a, const Tensor& b) {
   CPDG_CHECK_EQ(a.rows(), b.rows());
   int64_t n = a.rows(), da = a.cols(), db = b.cols();
@@ -634,34 +673,60 @@ Tensor RepeatRows(const Tensor& a, int64_t n) {
   return out;
 }
 
-Tensor Gather(const Tensor& table, const std::vector<int64_t>& indices) {
-  CPDG_CHECK(!indices.empty());
-  int64_t n = table.rows(), d = table.cols();
-  for (int64_t idx : indices) {
-    CPDG_CHECK_GE(idx, 0);
-    CPDG_CHECK_LT(idx, n);
+namespace {
+
+using RefVec = std::vector<RowRef, ArenaAllocator<RowRef>>;
+
+Tensor GatherRefs(TensorVector tables, RefVec refs) {
+  CPDG_CHECK(!tables.empty());
+  CPDG_CHECK(!refs.empty());
+  int64_t d = tables[0].cols();
+  for (const Tensor& t : tables) CPDG_CHECK_EQ(t.cols(), d);
+  for (const RowRef& ref : refs) {
+    CPDG_CHECK_GE(ref.table, 0);
+    CPDG_CHECK_LT(ref.table, static_cast<int64_t>(tables.size()));
+    CPDG_CHECK_GE(ref.row, 0);
+    CPDG_CHECK_LT(ref.row, tables[static_cast<size_t>(ref.table)].rows());
   }
-  int64_t m = static_cast<int64_t>(indices.size());
+  int64_t m = static_cast<int64_t>(refs.size());
   Tensor out = Tensor::MakeOpResult(
-      m, d, {table},
-      [table, indices, d](Tensor& self) mutable {
+      m, d, tables,
+      [tables, refs, d](Tensor& self) mutable {
         const float* dout = self.grad();
-        float* gt = table.grad();
-        for (size_t i = 0; i < indices.size(); ++i) {
-          int64_t row = indices[i];
-          for (int64_t c = 0; c < d; ++c) {
-            gt[row * d + c] += dout[static_cast<int64_t>(i) * d + c];
-          }
+        std::vector<float*, ArenaAllocator<float*>> grads(tables.size());
+        for (size_t t = 0; t < tables.size(); ++t) {
+          if (tables[t].requires_grad()) grads[t] = tables[t].grad();
+        }
+        for (size_t i = 0; i < refs.size(); ++i) {
+          float* gt = grads[static_cast<size_t>(refs[i].table)];
+          if (gt == nullptr) continue;
+          gt += refs[i].row * d;
+          const float* g = dout + static_cast<int64_t>(i) * d;
+          for (int64_t c = 0; c < d; ++c) gt[c] += g[c];
         }
       },
       "gather");
-  const float* pt = table.data();
   float* po = out.data();
-  for (size_t i = 0; i < indices.size(); ++i) {
-    std::copy(pt + indices[i] * d, pt + (indices[i] + 1) * d,
-              po + static_cast<int64_t>(i) * d);
+  for (size_t i = 0; i < refs.size(); ++i) {
+    const float* row =
+        tables[static_cast<size_t>(refs[i].table)].data() + refs[i].row * d;
+    std::copy(row, row + d, po + static_cast<int64_t>(i) * d);
   }
   return out;
+}
+
+}  // namespace
+
+Tensor Gather(const Tensor& table, const std::vector<int64_t>& indices) {
+  RefVec refs(indices.size());
+  for (size_t i = 0; i < indices.size(); ++i) refs[i].row = indices[i];
+  return GatherRefs(TensorVector{table}, std::move(refs));
+}
+
+Tensor Gather(const std::vector<Tensor>& tables,
+              const std::vector<RowRef>& refs) {
+  return GatherRefs(TensorVector(tables.begin(), tables.end()),
+                    RefVec(refs.begin(), refs.end()));
 }
 
 Tensor Softmax(const Tensor& a) {

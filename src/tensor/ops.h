@@ -63,9 +63,15 @@ Tensor Sum(const Tensor& a);
 Tensor Mean(const Tensor& a);
 /// Per-row sum: [n,d] -> [n,1].
 Tensor RowSum(const Tensor& a);
-/// Per-column mean: [n,d] -> [1,d]. This is the mean-pooling readout used
-/// for subgraph embeddings (Eq. 9-10, 12-13 of the paper).
+/// Per-column mean: [n,d] -> [1,d].
 Tensor ColMean(const Tensor& a);
+/// Per-segment column mean: segment s covers rows [offsets[s],
+/// offsets[s+1]) of `a`, so `offsets` holds k+1 strictly increasing
+/// boundaries from 0 to a.rows() and the result is [k,d]. Each row of the
+/// result equals ColMean of its segment bitwise, forward and backward.
+/// This is the mean-pooling readout used for subgraph embeddings (Eq.
+/// 9-10, 12-13 of the paper), one node for the whole batch of subgraphs.
+Tensor SegmentMean(const Tensor& a, const std::vector<int64_t>& offsets);
 /// @}
 
 /// \name Shape ops
@@ -88,6 +94,16 @@ Tensor RepeatRows(const Tensor& a, int64_t n);
 /// pass scatter-adds into the table gradient, so this doubles as an
 /// embedding layer.
 Tensor Gather(const Tensor& table, const std::vector<int64_t>& indices);
+/// One row of one table in a multi-table Gather.
+struct RowRef {
+  int64_t table = 0;
+  int64_t row = 0;
+};
+/// Row lookup over several same-width tables: row i of the result is row
+/// refs[i].row of tables[refs[i].table]. The backward pass scatter-adds
+/// into every table that requires gradients, in row order.
+Tensor Gather(const std::vector<Tensor>& tables,
+              const std::vector<RowRef>& refs);
 /// @}
 
 /// \name Normalization / regularization

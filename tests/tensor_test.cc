@@ -1,6 +1,7 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -346,6 +347,79 @@ TEST(GradTest, GatherScattersIntoTable) {
   ExpectGradientsMatch({MakeRandom(5, 3, 81)}, [](std::vector<Tensor>& in) {
     return Mean(Square(Gather(in[0], {0, 2, 2, 4})));
   });
+}
+
+TEST(GradTest, SegmentMean) {
+  ExpectGradientsMatch({MakeRandom(7, 3, 83)}, [](std::vector<Tensor>& in) {
+    return Mean(Square(SegmentMean(in[0], {0, 2, 3, 7})));
+  });
+}
+
+TEST(GradTest, MultiTableGatherWithDuplicates) {
+  ExpectGradientsMatch(
+      {MakeRandom(3, 2, 85), MakeRandom(4, 2, 86)},
+      [](std::vector<Tensor>& in) {
+        std::vector<RowRef> refs = {{1, 0}, {0, 2}, {1, 0}, {0, 0}, {1, 3}};
+        return Mean(Square(Gather({in[0], in[1]}, refs)));
+      });
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+bool SameGradBits(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.grad(), b.grad(), sizeof(float) * a.size()) == 0;
+}
+
+// Weighted sum of `t` against a fixed non-trivial weight, so every output
+// element carries a distinct upstream gradient.
+Tensor WeightedSum(const Tensor& t) {
+  Rng rng(7);
+  return Sum(Mul(t, Tensor::RandomUniform(t.rows(), t.cols(), 3.0f, &rng)));
+}
+
+TEST(OpsTest, SegmentMeanMatchesSlicedColMeanBitwise) {
+  std::vector<int64_t> offsets = {0, 1, 4, 9, 16};
+  Tensor x = MakeRandom(16, 5, 87);
+  Tensor y = MakeRandom(16, 5, 87);
+  Tensor fused = SegmentMean(x, offsets);
+  std::vector<Tensor> pooled;
+  for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+    pooled.push_back(
+        ColMean(SliceRows(y, offsets[s], offsets[s + 1] - offsets[s])));
+  }
+  Tensor reference = ConcatRows(pooled);
+  EXPECT_TRUE(SameBits(fused, reference));
+  WeightedSum(fused).Backward();
+  WeightedSum(reference).Backward();
+  EXPECT_TRUE(SameGradBits(x, y));
+}
+
+TEST(OpsTest, MultiTableGatherMatchesConcatOfSlicesBitwise) {
+  std::vector<Tensor> a = {MakeRandom(3, 4, 88), MakeRandom(5, 4, 89)};
+  std::vector<Tensor> b = {MakeRandom(3, 4, 88), MakeRandom(5, 4, 89)};
+  std::vector<RowRef> refs = {{1, 4}, {0, 1}, {1, 4}, {1, 0}, {0, 1}, {0, 2}};
+  Tensor fused = Gather(a, refs);
+  // The reference slices each distinct row once and reuses the slice for
+  // duplicates, as a per-row cache would.
+  std::vector<std::vector<Tensor>> slices(b.size());
+  std::vector<Tensor> rows;
+  for (const RowRef& ref : refs) {
+    std::vector<Tensor>& cache = slices[static_cast<size_t>(ref.table)];
+    cache.resize(static_cast<size_t>(b[ref.table].rows()));
+    Tensor& slice = cache[static_cast<size_t>(ref.row)];
+    if (!slice.defined()) slice = SliceRows(b[ref.table], ref.row, 1);
+    rows.push_back(slice);
+  }
+  Tensor reference = ConcatRows(rows);
+  EXPECT_TRUE(SameBits(fused, reference));
+  WeightedSum(fused).Backward();
+  WeightedSum(reference).Backward();
+  EXPECT_TRUE(SameGradBits(a[0], b[0]));
+  EXPECT_TRUE(SameGradBits(a[1], b[1]));
 }
 
 TEST(GradTest, GroupedAttention) {
