@@ -35,9 +35,12 @@ tensor::Tensor FineTunedModel::Embed(dgnn::DgnnEncoder* encoder,
 tensor::Tensor FineTunedModel::ScoreLogits(
     dgnn::DgnnEncoder* encoder, const std::vector<NodeId>& srcs,
     const std::vector<NodeId>& dsts, const std::vector<double>& times) const {
-  ts::Tensor z_src = Embed(encoder, srcs, times);
-  ts::Tensor z_dst = Embed(encoder, dsts, times);
-  return decoder_->ForwardLogits(z_src, z_dst);
+  std::vector<ts::Tensor> z = train::EmbedStacked(
+      [&](const std::vector<NodeId>& nodes, const std::vector<double>& t) {
+        return Embed(encoder, nodes, t);
+      },
+      {srcs, dsts}, times);
+  return decoder_->ForwardLogits(z[0], z[1]);
 }
 
 std::vector<tensor::Tensor> FineTunedModel::Parameters() const {
@@ -101,10 +104,16 @@ FineTunedModel FineTuneLinkPrediction(dgnn::DgnnEncoder* encoder,
           std::any& prepared) -> std::optional<ts::Tensor> {
         const train::LinkBatch& lb =
             *std::any_cast<train::LinkBatch>(&prepared);
-        ts::Tensor pos_logits =
-            model.ScoreLogits(encoder, lb.srcs, lb.dsts, lb.times);
-        ts::Tensor neg_logits =
-            model.ScoreLogits(encoder, lb.srcs, lb.negs, lb.times);
+        // One pass embeds every row once: each source row and its EIE
+        // fusion feed both the positive and the negative pair.
+        std::vector<ts::Tensor> z = train::EmbedStacked(
+            [&](const std::vector<NodeId>& nodes,
+                const std::vector<double>& times) {
+              return model.Embed(encoder, nodes, times);
+            },
+            {lb.srcs, lb.dsts, lb.negs}, lb.times);
+        ts::Tensor pos_logits = model.decoder()->ForwardLogits(z[0], z[1]);
+        ts::Tensor neg_logits = model.decoder()->ForwardLogits(z[0], z[2]);
         return train::LinkBceLoss(pos_logits, neg_logits);
       });
   if (telemetry != nullptr) *telemetry = std::move(result);

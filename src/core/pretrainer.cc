@@ -23,19 +23,31 @@ CpdgPretrainer::CpdgPretrainer(const CpdgConfig& config, Rng* rng)
   CPDG_CHECK_GE(config.num_checkpoints, 1);
 }
 
-tensor::Tensor CpdgPretrainer::PoolSubgraphs(
+std::vector<tensor::Tensor> CpdgPretrainer::PoolSubgraphs(
     dgnn::DgnnEncoder* encoder,
-    const std::vector<sampler::ArenaNodeVec>& subgraphs) {
+    const std::vector<const std::vector<sampler::ArenaNodeVec>*>& views) {
   std::vector<NodeId> all;
   std::vector<int64_t> offsets = {0};
-  for (const auto& sg : subgraphs) {
-    CPDG_CHECK(!sg.empty());
-    all.insert(all.end(), sg.begin(), sg.end());
-    offsets.push_back(static_cast<int64_t>(all.size()));
+  for (const std::vector<sampler::ArenaNodeVec>* view : views) {
+    CPDG_CHECK_EQ(view->size(), views[0]->size());
+    for (const sampler::ArenaNodeVec& sg : *view) {
+      CPDG_CHECK(!sg.empty());
+      all.insert(all.end(), sg.begin(), sg.end());
+      offsets.push_back(static_cast<int64_t>(all.size()));
+    }
   }
-  // One flush for every subgraph node, then per-anchor mean pooling
-  // (the Readout of Eq. 9-10 / 12-13 over memory states).
-  return ts::SegmentMean(encoder->ComputeUpdatedStates(all), offsets);
+  // One flush and one gather for every node of every view, then one mean
+  // per subgraph (the Readout of Eq. 9-10 / 12-13 over memory states).
+  ts::Tensor pooled =
+      ts::SegmentMean(encoder->ComputeUpdatedStates(all), offsets);
+  int64_t anchors = static_cast<int64_t>(views[0]->size());
+  std::vector<ts::Tensor> out;
+  out.reserve(views.size());
+  for (size_t v = 0; v < views.size(); ++v) {
+    out.push_back(
+        ts::SliceRows(pooled, static_cast<int64_t>(v) * anchors, anchors));
+  }
+  return out;
 }
 
 CpdgPretrainer::PreparedContrast CpdgPretrainer::PrepareContrast(
@@ -101,19 +113,27 @@ tensor::Tensor CpdgPretrainer::ContrastiveLoss(
   std::vector<int64_t> anchor_idx(contrast.anchor_pos.begin(),
                                   contrast.anchor_pos.end());
   ts::Tensor anchors = ts::Gather(z_src, anchor_idx);
+  std::vector<const std::vector<sampler::ArenaNodeVec>*> views;
   if (config_.use_temporal_contrast) {
-    ts::Tensor h_tp = PoolSubgraphs(encoder, contrast.tp);
-    ts::Tensor h_tn = PoolSubgraphs(encoder, contrast.tn);
-    ts::Tensor l_eta =
-        ts::TripletMarginLoss(anchors, h_tp, h_tn, config_.margin);
-    loss = ts::Add(loss, ts::MulScalar(l_eta, config_.contrast_weight *
-                                                  (1.0f - config_.beta)));
+    views.push_back(&contrast.tp);
+    views.push_back(&contrast.tn);
   }
   if (config_.use_structural_contrast) {
-    ts::Tensor h_sp = PoolSubgraphs(encoder, contrast.sp);
-    ts::Tensor h_sn = PoolSubgraphs(encoder, contrast.sn);
-    ts::Tensor l_eps =
-        ts::TripletMarginLoss(anchors, h_sp, h_sn, config_.margin);
+    views.push_back(&contrast.sp);
+    views.push_back(&contrast.sn);
+  }
+  std::vector<ts::Tensor> pooled = PoolSubgraphs(encoder, views);
+  size_t next = 0;
+  if (config_.use_temporal_contrast) {
+    ts::Tensor l_eta = ts::TripletMarginLoss(anchors, pooled[0], pooled[1],
+                                             config_.margin);
+    loss = ts::Add(loss, ts::MulScalar(l_eta, config_.contrast_weight *
+                                                  (1.0f - config_.beta)));
+    next = 2;
+  }
+  if (config_.use_structural_contrast) {
+    ts::Tensor l_eps = ts::TripletMarginLoss(anchors, pooled[next],
+                                             pooled[next + 1], config_.margin);
     loss = ts::Add(loss, ts::MulScalar(l_eps, config_.contrast_weight *
                                                   config_.beta));
   }
@@ -241,18 +261,21 @@ PretrainResult CpdgPretrainer::Pretrain(dgnn::DgnnEncoder* encoder,
           std::any& prepared) -> std::optional<ts::Tensor> {
         Payload& payload = *std::any_cast<Payload>(&prepared);
         const train::LinkBatch& lb = payload.lb;
-        ts::Tensor z_src = encoder->ComputeEmbeddings(lb.srcs, lb.times);
-        ts::Tensor z_dst = encoder->ComputeEmbeddings(lb.dsts, lb.times);
-        ts::Tensor z_neg = encoder->ComputeEmbeddings(lb.negs, lb.times);
+        std::vector<ts::Tensor> z = train::EmbedStacked(
+            [encoder](const std::vector<NodeId>& nodes,
+                      const std::vector<double>& times) {
+              return encoder->ComputeEmbeddings(nodes, times);
+            },
+            {lb.srcs, lb.dsts, lb.negs}, lb.times);
 
         // --- Pretext temporal link prediction (Eq. 15-16). ---
-        ts::Tensor pos_logits = decoder->ForwardLogits(z_src, z_dst);
-        ts::Tensor neg_logits = decoder->ForwardLogits(z_src, z_neg);
+        ts::Tensor pos_logits = decoder->ForwardLogits(z[0], z[1]);
+        ts::Tensor neg_logits = decoder->ForwardLogits(z[0], z[2]);
         ts::Tensor loss = train::LinkBceLoss(pos_logits, neg_logits);
 
         // --- Contrastive terms on a subsample of anchors (Eq. 9-14). ---
         if (config_.use_temporal_contrast || config_.use_structural_contrast) {
-          loss = ContrastiveLoss(encoder, payload.contrast, z_src, loss);
+          loss = ContrastiveLoss(encoder, payload.contrast, z[0], loss);
         }
         return loss;
       });

@@ -110,11 +110,13 @@ class CpdgPretrainer {
       const train::LinkBatch& lb, Rng* rng) const;
 
   /// Pools each anchor's sampled subgraph into a row (mean-pooling readout
-  /// of Eq. 9/10/12/13). Every subgraph must be non-empty; PrepareContrast
-  /// filters empty samples while selecting anchors.
-  tensor::Tensor PoolSubgraphs(
+  /// of Eq. 9/10/12/13) for every view in one pass, returning one
+  /// [anchors, d] tensor per view. Views hold one subgraph per anchor, and
+  /// every subgraph must be non-empty; PrepareContrast filters empty
+  /// samples while selecting anchors.
+  std::vector<tensor::Tensor> PoolSubgraphs(
       dgnn::DgnnEncoder* encoder,
-      const std::vector<sampler::ArenaNodeVec>& subgraphs);
+      const std::vector<const std::vector<sampler::ArenaNodeVec>*>& views);
 
   /// Adds the temporal (η-BFS) and structural (ε-DFS) contrastive terms of
   /// Eq. (11)/(14) over the prepared anchors onto `loss`, returning the

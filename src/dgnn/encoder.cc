@@ -217,15 +217,26 @@ tensor::Tensor DgnnEncoder::UpdateStates(
                    NodeFeatures(others)),
         phi);
   } else {
-    // Mean aggregation: per-node average over all pending messages.
-    std::vector<ts::Tensor> rows;
-    rows.reserve(flush_nodes.size());
-    for (size_t i = 0; i < flush_nodes.size(); ++i) {
-      rows.push_back(
-          BuildAggregatedMessage(flush_nodes[i], memory_.Pending(
-                                                      flush_nodes[i])));
+    // Mean aggregation (Eq. 3): the raw messages of every flushed node in
+    // one block, averaged per node by one SegmentMean.
+    std::vector<NodeId> self, others;
+    std::vector<double> deltas;
+    std::vector<int64_t> offsets = {0};
+    for (NodeId v : flush_nodes) {
+      double last_update = memory_.LastUpdate(v);
+      for (const Memory::RawMessage& m : memory_.Pending(v)) {
+        self.push_back(v);
+        others.push_back(m.other);
+        deltas.push_back(std::max(0.0, m.time - last_update));
+      }
+      offsets.push_back(static_cast<int64_t>(self.size()));
     }
-    messages = ts::ConcatRows(rows);
+    ts::Tensor rows = ts::Concat(
+        ts::Concat(ts::Concat(memory_.GetStates(self),
+                              memory_.GetStates(others)),
+                   NodeFeatures(others)),
+        time_encoder_->Forward(deltas));
+    messages = ts::SegmentMean(rows, offsets);
   }
 
   if (config_.message == MessageFunctionType::kMlp) {
@@ -240,27 +251,6 @@ tensor::Tensor DgnnEncoder::UpdateStates(
   }
   CPDG_CHECK_EQ(updated.rows(), n);
   return updated;
-}
-
-tensor::Tensor DgnnEncoder::BuildAggregatedMessage(
-    NodeId node, const std::vector<Memory::RawMessage>& pending) {
-  CPDG_CHECK(!pending.empty());
-  std::vector<NodeId> self(pending.size(), node);
-  std::vector<NodeId> others(pending.size());
-  std::vector<double> deltas(pending.size());
-  double last_update = memory_.LastUpdate(node);
-  for (size_t i = 0; i < pending.size(); ++i) {
-    others[i] = pending[i].other;
-    deltas[i] = std::max(0.0, pending[i].time - last_update);
-  }
-  ts::Tensor self_states = memory_.GetStates(self);
-  ts::Tensor other_states = memory_.GetStates(others);
-  ts::Tensor phi = time_encoder_->Forward(deltas);
-  ts::Tensor rows = ts::Concat(
-      ts::Concat(ts::Concat(self_states, other_states),
-                 NodeFeatures(others)),
-      phi);
-  return ts::ColMean(rows);  // Eq. (3) with mean aggregation
 }
 
 void DgnnEncoder::FlushNodes(const std::vector<NodeId>& nodes) {

@@ -59,12 +59,23 @@ struct EncoderConfig {
 /// Gradients flow through the within-batch flush; committed states are
 /// stored detached.
 ///
-/// Typical batch loop:
+/// Typical batch loop, one encoder pass per training step:
 ///   encoder.BeginBatch();
-///   Tensor z_src = encoder.ComputeEmbeddings(srcs, ts);
-///   Tensor z_dst = encoder.ComputeEmbeddings(dsts, ts);
+///   // [srcs; dsts; negs] in one ComputeEmbeddings call, sliced apart
+///   // (train::EmbedStacked); contrastive views likewise pool every view
+///   // from one ComputeUpdatedStates call.
+///   std::vector<Tensor> z = train::EmbedStacked(embed, {srcs, dsts, negs},
+///                                               ts);
 ///   ... loss.Backward(); optimizer.Step(); ...
 ///   encoder.CommitBatch(batch_events);
+///
+/// Stacking is forward-exact: every output row depends only on its own
+/// (node, time) query (rng-free kMostRecent neighbors, GEMM blocking that
+/// depends on shapes only, per-node flush results cached for the batch), so
+/// the rows of one stacked call equal those of separate calls bitwise, and
+/// CommitBatch writes the same memory. Gradients are the same sums added
+/// in a different order (one GEMM over the stacked rows instead of one per
+/// call), so trained parameters agree to rounding, not bitwise.
 ///
 /// \par Read-only (serving) protocol
 /// `BeginBatch()` + `ComputeEmbeddings()` *without* a following
@@ -131,12 +142,6 @@ class DgnnEncoder : public tensor::Module {
   /// Builds the aggregated message matrix for `flush_nodes` (each has
   /// pending messages) and returns Mem(s^-, m̄) rows, [n, memory_dim].
   tensor::Tensor UpdateStates(const std::vector<NodeId>& flush_nodes);
-
-  /// Message content for one (node, messages) pair: returns the [1,msg_dim]
-  /// aggregated message tensor.
-  tensor::Tensor BuildAggregatedMessage(NodeId node,
-                                        const std::vector<Memory::RawMessage>&
-                                            messages);
 
   /// Attention-based neighbor summary of `others` at `times` (DyRep's
   /// attention message function), [n, memory_dim].

@@ -59,11 +59,14 @@ TrainLog TrainLinkPrediction(DgnnEncoder* encoder, LinkPredictor* decoder,
           std::any& prepared) -> std::optional<ts::Tensor> {
         const train::LinkBatch& lb =
             *std::any_cast<train::LinkBatch>(&prepared);
-        ts::Tensor z_src = encoder->ComputeEmbeddings(lb.srcs, lb.times);
-        ts::Tensor z_dst = encoder->ComputeEmbeddings(lb.dsts, lb.times);
-        ts::Tensor z_neg = encoder->ComputeEmbeddings(lb.negs, lb.times);
-        ts::Tensor pos_logits = decoder->ForwardLogits(z_src, z_dst);
-        ts::Tensor neg_logits = decoder->ForwardLogits(z_src, z_neg);
+        std::vector<ts::Tensor> z = train::EmbedStacked(
+            [encoder](const std::vector<NodeId>& nodes,
+                      const std::vector<double>& times) {
+              return encoder->ComputeEmbeddings(nodes, times);
+            },
+            {lb.srcs, lb.dsts, lb.negs}, lb.times);
+        ts::Tensor pos_logits = decoder->ForwardLogits(z[0], z[1]);
+        ts::Tensor neg_logits = decoder->ForwardLogits(z[0], z[2]);
         return train::LinkBceLoss(pos_logits, neg_logits);
       });
   if (telemetry != nullptr) *telemetry = result;

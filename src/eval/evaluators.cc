@@ -60,11 +60,18 @@ LinkPredictionMetrics EvaluateDynamicLinkPrediction(
 
     encoder->BeginBatch();
     if (!srcs.empty()) {
-      ts::Tensor pos = ts::Sigmoid(score(srcs, dsts, times));
-      ts::Tensor neg = ts::Sigmoid(score(srcs, negs, times));
-      for (int64_t i = 0; i < pos.rows(); ++i) {
-        samples.push_back({static_cast<double>(pos.at(i, 0)), 1});
-        samples.push_back({static_cast<double>(neg.at(i, 0)), 0});
+      // One score call over stacked pairs: rows [0, n) are the (src, dst)
+      // positives, rows [n, 2n) the (src, neg) negatives.
+      size_t n = srcs.size();
+      srcs.resize(2 * n);
+      std::copy_n(srcs.begin(), n, srcs.begin() + n);
+      dsts.insert(dsts.end(), negs.begin(), negs.end());
+      times.resize(2 * n);
+      std::copy_n(times.begin(), n, times.begin() + n);
+      ts::Tensor probs = ts::Sigmoid(score(srcs, dsts, times));
+      for (size_t i = 0; i < n; ++i) {
+        samples.push_back({static_cast<double>(probs.data()[i]), 1});
+        samples.push_back({static_cast<double>(probs.data()[n + i]), 0});
       }
     } else {
       // Still flush so CommitBatch below observes consistent state.

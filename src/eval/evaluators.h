@@ -9,6 +9,7 @@
 #include "eval/metrics.h"
 #include "graph/temporal_graph.h"
 #include "tensor/tensor.h"
+#include "train/link_batch.h"
 #include "train/telemetry.h"
 #include "util/rng.h"
 
@@ -24,8 +25,7 @@ using ScoreFn = std::function<tensor::Tensor(
     const std::vector<double>& times)>;
 
 /// \brief Embeds a batch of nodes at the given times, [n, d].
-using EmbedFn = std::function<tensor::Tensor(
-    const std::vector<NodeId>& nodes, const std::vector<double>& times)>;
+using EmbedFn = train::EmbedFn;
 
 struct LinkPredictionMetrics {
   double auc = 0.5;

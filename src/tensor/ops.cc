@@ -478,28 +478,7 @@ Tensor RowSum(const Tensor& a) {
   return out;
 }
 
-Tensor ColMean(const Tensor& a) {
-  int64_t n = a.rows(), d = a.cols();
-  Tensor out = Tensor::MakeOpResult(
-      1, d, {a},
-      [a, n, d](Tensor& self) mutable {
-        const float* dout = self.grad();
-        float* ga = a.grad();
-        float inv = 1.0f / static_cast<float>(n);
-        for (int64_t r = 0; r < n; ++r) {
-          for (int64_t c = 0; c < d; ++c) ga[r * d + c] += dout[c] * inv;
-        }
-      },
-      "col_mean");
-  const float* pa = a.data();
-  float* po = out.data();
-  for (int64_t c = 0; c < d; ++c) {
-    double acc = 0.0;
-    for (int64_t r = 0; r < n; ++r) acc += pa[r * d + c];
-    po[c] = static_cast<float>(acc / static_cast<double>(n));
-  }
-  return out;
-}
+Tensor ColMean(const Tensor& a) { return SegmentMean(a, {0, a.rows()}); }
 
 Tensor SegmentMean(const Tensor& a, const std::vector<int64_t>& offsets) {
   CPDG_CHECK_GE(offsets.size(), 2u);

@@ -36,6 +36,31 @@ LinkBatch AssembleLinkBatch(const std::vector<graph::Event>& events,
   return out;
 }
 
+std::vector<tensor::Tensor> EmbedStacked(
+    const EmbedFn& embed,
+    std::initializer_list<
+        std::reference_wrapper<const std::vector<graph::NodeId>>>
+        parts,
+    const std::vector<double>& times) {
+  int64_t n = static_cast<int64_t>(times.size());
+  std::vector<graph::NodeId> nodes;
+  std::vector<double> stacked_times;
+  nodes.reserve(parts.size() * times.size());
+  stacked_times.reserve(parts.size() * times.size());
+  for (const std::vector<graph::NodeId>& part : parts) {
+    CPDG_CHECK_EQ(static_cast<int64_t>(part.size()), n);
+    nodes.insert(nodes.end(), part.begin(), part.end());
+    stacked_times.insert(stacked_times.end(), times.begin(), times.end());
+  }
+  ts::Tensor z = embed(nodes, stacked_times);
+  std::vector<ts::Tensor> slices;
+  slices.reserve(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    slices.push_back(ts::SliceRows(z, static_cast<int64_t>(i) * n, n));
+  }
+  return slices;
+}
+
 tensor::Tensor StackedBceLoss(const tensor::Tensor& logits,
                               int64_t num_positive) {
   int64_t n = logits.rows();

@@ -2,6 +2,8 @@
 #define CPDG_TRAIN_LINK_BATCH_H_
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <vector>
 
 #include "graph/temporal_graph.h"
@@ -29,6 +31,22 @@ struct LinkBatch {
 LinkBatch AssembleLinkBatch(const std::vector<graph::Event>& events,
                             const std::vector<graph::NodeId>& negative_pool,
                             int64_t num_nodes, Rng* rng);
+
+/// \brief Embeds (node, time) queries as [n, d] rows.
+using EmbedFn = std::function<tensor::Tensor(
+    const std::vector<graph::NodeId>& nodes, const std::vector<double>& times)>;
+
+/// \brief One embedding pass for several node lists that share `times`:
+/// calls `embed` once on the lists stacked in order and returns one
+/// [times.size(), d] row slice per list. With a row-independent `embed`
+/// (every DGNN encoder, see DESIGN.md §5) each slice is bitwise the result
+/// of a separate call on its list.
+std::vector<tensor::Tensor> EmbedStacked(
+    const EmbedFn& embed,
+    std::initializer_list<
+        std::reference_wrapper<const std::vector<graph::NodeId>>>
+        parts,
+    const std::vector<double>& times);
 
 /// \brief BCE-with-logits over vertically stacked logits whose first
 /// `num_positive` rows are positive examples (target 1) and the remaining
