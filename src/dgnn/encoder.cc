@@ -387,9 +387,8 @@ void DgnnEncoder::CommitBatch(const std::vector<graph::Event>& events) {
   // Persist flushed states (detached) and consume their pending messages.
   for (const auto& [node, ref] : updated_states_) {
     if (memory_.HasPending(node)) {
-      memory_.SetState(node, flush_blocks_[static_cast<size_t>(ref.table)]
-                                     .data() +
-                                 ref.row * memory_.dim());
+      const ts::Tensor& block = flush_blocks_[static_cast<size_t>(ref.table)];
+      memory_.SetState(node, block.data() + ref.row * block.cols());
       memory_.ClearPending(node);
     }
   }
