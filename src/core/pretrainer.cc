@@ -26,6 +26,7 @@ CpdgPretrainer::CpdgPretrainer(const CpdgConfig& config, Rng* rng)
 std::vector<tensor::Tensor> CpdgPretrainer::PoolSubgraphs(
     dgnn::DgnnEncoder* encoder,
     const std::vector<const std::vector<sampler::ArenaNodeVec>*>& views) {
+  CPDG_CHECK(!views.empty());
   std::vector<NodeId> all;
   std::vector<int64_t> offsets = {0};
   for (const std::vector<sampler::ArenaNodeVec>* view : views) {

@@ -53,7 +53,9 @@ void ParallelRows(int64_t rows, int64_t row_cost,
   util::ThreadPool::Global().ParallelFor(0, rows, grain, fn);
 }
 
+// Index lists captured by backward closures live in arena storage.
 using IndexVec = std::vector<int64_t, ArenaAllocator<int64_t>>;
+using RefVec = std::vector<RowRef, ArenaAllocator<RowRef>>;
 
 // Shapes are equal, or b is a [1, cols] row broadcast over a's rows.
 enum class BroadcastKind { kSame, kRow };
@@ -653,8 +655,6 @@ Tensor RepeatRows(const Tensor& a, int64_t n) {
 }
 
 namespace {
-
-using RefVec = std::vector<RowRef, ArenaAllocator<RowRef>>;
 
 Tensor GatherRefs(TensorVector tables, RefVec refs) {
   CPDG_CHECK(!tables.empty());
