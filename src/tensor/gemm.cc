@@ -1,6 +1,6 @@
-// Packed, cache-blocked GEMM driver: owns the blocking loops, operand
-// packing, and the thread fan-out; per-tile arithmetic is delegated to the
-// backend microkernel selected by simd::ActiveMode(). See gemm.h for the
+// Cache-blocked GEMM driver: owns the blocking loops, B packing, and the
+// thread fan-out; per-tile arithmetic is delegated to the backend
+// microkernel selected by simd::ActiveMode(). See gemm.h for the
 // determinism contract.
 
 #include "tensor/gemm.h"
@@ -43,25 +43,6 @@ gemm_internal::TinyGemmFn ActiveTinyGemm() {
   return &gemm_internal::TinyGemmPortable;
 }
 
-/// Packs A block rows [i0, i0+mb) x cols [p0, p0+kb) into MR-interleaved
-/// panels: apack[(ig*kb + p)*MR + r] = A[i0 + ig*MR + r][p0 + p], rows
-/// beyond mb zero-padded so the microkernel never branches on row validity.
-void PackA(const GemmView& a, int64_t i0, int64_t mb, int64_t p0, int64_t kb,
-           float* apack) {
-  const int64_t groups = (mb + MR - 1) / MR;
-  for (int64_t ig = 0; ig < groups; ++ig) {
-    const int64_t rvalid = std::min<int64_t>(MR, mb - ig * MR);
-    float* panel = apack + ig * kb * MR;
-    for (int64_t p = 0; p < kb; ++p) {
-      const float* src =
-          a.p + (i0 + ig * MR) * a.rstride + (p0 + p) * a.cstride;
-      float* dst = panel + p * MR;
-      for (int64_t r = 0; r < rvalid; ++r) dst[r] = src[r * a.rstride];
-      for (int64_t r = rvalid; r < MR; ++r) dst[r] = 0.0f;
-    }
-  }
-}
-
 /// Packs B block rows [p0, p0+kb) x all n cols into NR-interleaved column
 /// panels: bpack[(jg*kb + p)*NR + l] = B[p0 + p][jg*NR + l], cols beyond n
 /// zero-padded.
@@ -80,24 +61,19 @@ void PackB(const GemmView& b, int64_t p0, int64_t kb, float* bpack) {
   }
 }
 
-/// One MC-tall row block for one k-block: packs its A slice and sweeps the
-/// microkernel over every (MR row group) x (NR column panel) tile.
+/// One MC-tall row block for one k-block: sweeps the microkernel over every
+/// (MR row group) x (NR column panel) tile, reading A in place.
 void ComputeRowBlock(MicroKernelFn micro, const GemmView& a,
                      const float* bpack, int64_t p0, int64_t kb, int64_t i0,
                      int64_t mb, int64_t n, float* c) {
-  // Per-thread pack buffer: reused across blocks and calls; workers are
-  // long-lived pool threads so the allocation amortizes away.
-  static thread_local std::vector<float> apack;
-  apack.resize(static_cast<size_t>(((mb + MR - 1) / MR) * kb * MR));
-  PackA(a, i0, mb, p0, kb, apack.data());
-
   const int64_t groups = (mb + MR - 1) / MR;
   const int64_t panels = (n + NR - 1) / NR;
   for (int64_t ig = 0; ig < groups; ++ig) {
     const int64_t mvalid = std::min<int64_t>(MR, mb - ig * MR);
+    const float* ablock = a.p + (i0 + ig * MR) * a.rstride + p0 * a.cstride;
     for (int64_t jg = 0; jg < panels; ++jg) {
       const int64_t nvalid = std::min<int64_t>(NR, n - jg * NR);
-      micro(apack.data() + ig * kb * MR, bpack + jg * kb * NR, kb,
+      micro(ablock, a.rstride, a.cstride, bpack + jg * kb * NR, kb,
             c + (i0 + ig * MR) * n + jg * NR, n, mvalid, nvalid);
     }
   }

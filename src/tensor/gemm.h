@@ -21,11 +21,11 @@ struct GemmView {
 /// \brief Dense accumulating matrix product: C += A · B, with C row-major
 /// [a.rows, b.cols] and leading dimension b.cols.
 ///
-/// Implementation: packed, cache-blocked GEMM. B is packed once per
-/// KC-deep k-block into NR-wide column panels; each MC-tall row block packs
-/// its slice of A into MR-interleaved panels and runs an MR x NR
+/// Implementation: cache-blocked GEMM. B is packed once per KC-deep k-block
+/// into NR-wide column panels; each MC-tall row block runs an MR x NR
 /// register-tiled microkernel (AVX2/FMA or the bitwise-identical scalar
-/// fallback — see simd.h). Row blocks fan out over
+/// fallback — see simd.h) that reads A in place through its strides, so a
+/// transposed A costs no copy. Row blocks fan out over
 /// util::ThreadPool::Global() once the product is large enough to amortize
 /// pool dispatch; tiny products take a branch-free serial path.
 ///
@@ -36,8 +36,9 @@ struct GemmView {
 /// ascending order. Chunk assignment parallelizes whole row blocks whose
 /// boundaries depend only on the shape, so results are bitwise identical
 /// at every thread count, on both SIMD backends, and on either side of the
-/// serial cutoff. There are no data-dependent skips: runtime is a function
-/// of shape alone, never of sparsity.
+/// serial cutoff (GemmTest.MatchesFmaChainReferenceBitwise models the chain
+/// independently and compares bit for bit). There are no data-dependent
+/// skips: runtime is a function of shape alone, never of sparsity.
 void GemmAccumulate(const GemmView& a, const GemmView& b, float* c);
 
 /// \name Blocking constants
@@ -51,7 +52,7 @@ inline constexpr int64_t kGemmMC = 96;   ///< row-block height (multiple of MR)
 /// @}
 
 /// Products with fewer than this many multiply-adds run a direct serial
-/// loop instead of the packed path (identical arithmetic when k <= kGemmKC,
+/// loop instead of the blocked path (identical arithmetic when k <= kGemmKC,
 /// which the tiny bound guarantees; see gemm.cc).
 inline constexpr int64_t kGemmTinyFlops = 1 << 12;
 

@@ -23,19 +23,24 @@ static_assert(NR == 16, "microkernel hardcodes two 8-lane accumulators/row");
 // 6x16 register tile: 12 ymm accumulators + 2 B vectors + 1 broadcast stay
 // within the 16 architectural ymm registers, and 12 independent FMA chains
 // cover the fused-multiply-add latency at 2 issues/cycle.
-void Avx2Micro(const float* apack, const float* bpack, int64_t kb, float* c,
-               int64_t ldc, int64_t mvalid, int64_t nvalid) {
+// A is broadcast straight from its strided rows; rows past mvalid re-read
+// row mvalid - 1, so no load leaves A, and their accumulators are dropped.
+void Avx2Micro(const float* a, int64_t rs, int64_t cs, const float* bpack,
+               int64_t kb, float* c, int64_t ldc, int64_t mvalid,
+               int64_t nvalid) {
+  const float* arow[MR];
   __m256 acc[MR][2];
   for (int64_t r = 0; r < MR; ++r) {
+    arow[r] = a + (r < mvalid ? r : mvalid - 1) * rs;
     acc[r][0] = _mm256_setzero_ps();
     acc[r][1] = _mm256_setzero_ps();
   }
   for (int64_t p = 0; p < kb; ++p) {
     const __m256 b0 = _mm256_loadu_ps(bpack + p * NR);
     const __m256 b1 = _mm256_loadu_ps(bpack + p * NR + 8);
-    const float* ap = apack + p * MR;
+    const int64_t off = p * cs;
     for (int64_t r = 0; r < MR; ++r) {
-      const __m256 av = _mm256_broadcast_ss(ap + r);
+      const __m256 av = _mm256_broadcast_ss(arow[r] + off);
       acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }

@@ -15,17 +15,17 @@
 namespace cpdg::tensor::gemm_internal {
 namespace {
 
-constexpr int64_t MR = kGemmMR;
 constexpr int64_t NR = kGemmNR;
 
-void ScalarMicro(const float* apack, const float* bpack, int64_t kb, float* c,
-                 int64_t ldc, int64_t mvalid, int64_t nvalid) {
+void ScalarMicro(const float* a, int64_t rs, int64_t cs, const float* bpack,
+                 int64_t kb, float* c, int64_t ldc, int64_t mvalid,
+                 int64_t nvalid) {
   for (int64_t r = 0; r < mvalid; ++r) {
     float* crow = c + r * ldc;
     for (int64_t l = 0; l < nvalid; ++l) {
       float acc = 0.0f;
       for (int64_t p = 0; p < kb; ++p) {
-        acc = std::fmaf(apack[p * MR + r], bpack[p * NR + l], acc);
+        acc = std::fmaf(a[r * rs + p * cs], bpack[p * NR + l], acc);
       }
       crow[l] += acc;
     }

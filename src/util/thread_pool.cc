@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 
 #include "util/check.h"
 
@@ -19,6 +20,21 @@ std::unique_ptr<ThreadPool>& GlobalSlot() {
   return pool;
 }
 
+/// Polls `done` until it returns true or ThreadPool::kSpinWindow elapses;
+/// returns the last poll's result. Each poll yields the CPU, so on an
+/// oversubscribed core the spinner hands its time slice to the thread it is
+/// waiting for instead of burning it.
+template <typename Pred>
+bool SpinUntil(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinWindow;
+  while (!done()) {
+    std::this_thread::yield();
+    if (std::chrono::steady_clock::now() >= deadline) return done();
+  }
+  return true;
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
@@ -32,7 +48,7 @@ ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_release);
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
@@ -83,7 +99,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   {
     std::lock_guard<std::mutex> lk(mu_);
     region_ = &region;
-    ++region_gen_;
+    region_gen_.fetch_add(1, std::memory_order_release);
   }
   work_cv_.notify_all();
 
@@ -91,7 +107,10 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   RunStripe(region, 0);
   tls_inside_parallel_region = false;
 
-  if (region.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+  if (region.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1 &&
+      !SpinUntil([&] {
+        return region.remaining.load(std::memory_order_acquire) == 0;
+      })) {
     std::unique_lock<std::mutex> lk(mu_);
     done_cv_.wait(lk, [&] {
       return region.remaining.load(std::memory_order_acquire) == 0;
@@ -107,15 +126,23 @@ void ThreadPool::WorkerLoop(int worker_id) {
   tls_inside_parallel_region = true;
   uint64_t seen_gen = 0;
   while (true) {
+    // The spin only shortens the wait; the region is still claimed under
+    // the lock below, whichever way the wait ended.
+    SpinUntil([&] {
+      return stop_.load(std::memory_order_acquire) ||
+             region_gen_.load(std::memory_order_acquire) != seen_gen;
+    });
     Region* region = nullptr;
     {
       std::unique_lock<std::mutex> lk(mu_);
       work_cv_.wait(lk, [&] {
-        return stop_ || (region_ != nullptr && region_gen_ != seen_gen);
+        return stop_.load(std::memory_order_relaxed) ||
+               (region_ != nullptr &&
+                region_gen_.load(std::memory_order_relaxed) != seen_gen);
       });
-      if (stop_) return;
+      if (stop_.load(std::memory_order_relaxed)) return;
       region = region_;
-      seen_gen = region_gen_;
+      seen_gen = region_gen_.load(std::memory_order_relaxed);
       // Workers beyond the participant count own no chunks and must not
       // touch the completion barrier. Decided under the lock: once it is
       // released the caller may finish the region and destroy it, so a

@@ -2,6 +2,7 @@
 #define CPDG_UTIL_THREAD_POOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -29,6 +30,13 @@ namespace cpdg::util {
 /// serial fallback on the calling thread, so parallel outer loops (e.g.
 /// per-seed benchmark cells) can freely invoke parallel tensor kernels
 /// without deadlock; the inner kernels run serially inside each worker.
+///
+/// Dispatch spins, then parks: after a region a worker polls for the next
+/// one for up to kSpinWindow before it sleeps on the condition variable,
+/// and the caller polls for its region's completion for the same window
+/// before it sleeps. Back-to-back regions (the training step's GEMMs and
+/// row kernels) therefore cost no futex round trip, while an idle pool
+/// sleeps after at most kSpinWindow.
 class ThreadPool {
  public:
   /// Total parallelism including the calling thread: a pool of size P
@@ -62,6 +70,12 @@ class ThreadPool {
   /// serial), otherwise std::thread::hardware_concurrency().
   static int DefaultNumThreads();
 
+  /// How long a worker polls for the next region, and the caller for its
+  /// region's completion, before falling back to a condition-variable wait.
+  /// Longer than the usual gap between a training step's kernel regions,
+  /// so the workers stay awake through a step.
+  static constexpr std::chrono::microseconds kSpinWindow{1000};
+
  private:
   /// Shared state of one in-flight ParallelFor region.
   struct Region {
@@ -87,8 +101,10 @@ class ThreadPool {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   Region* region_ = nullptr;  // guarded by mu_
-  uint64_t region_gen_ = 0;   // guarded by mu_
-  bool stop_ = false;         // guarded by mu_
+  // Written only under mu_; atomic so spinning workers can poll them
+  // without the lock.
+  std::atomic<uint64_t> region_gen_{0};
+  std::atomic<bool> stop_{false};
 };
 
 }  // namespace cpdg::util

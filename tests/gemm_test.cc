@@ -4,6 +4,7 @@
 // serial-cutoff boundary of the elementwise dispatch, and the fwd/bwd
 // flop counters the bench derives its GFLOPS from.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -68,6 +69,30 @@ std::vector<float> RunGemm(const std::vector<float>& a,
   std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
   ts::GemmAccumulate({a.data(), m, k, k, 1}, {b.data(), k, n, n, 1},
                      c.data());
+  return c;
+}
+
+/// Independent model of the determinism contract: per C element, an
+/// ascending-k std::fmaf chain from zero over each kGemmKC block, added into
+/// C once per block, blocks in ascending order. Reads A and B through the
+/// same strided views GemmAccumulate gets.
+std::vector<float> ContractReference(const ts::GemmView& a,
+                                     const ts::GemmView& b,
+                                     std::vector<float> c) {
+  for (int64_t i = 0; i < a.rows; ++i) {
+    for (int64_t j = 0; j < b.cols; ++j) {
+      float& out = c[static_cast<size_t>(i * b.cols + j)];
+      for (int64_t p0 = 0; p0 < a.cols; p0 += ts::kGemmKC) {
+        const int64_t p1 = std::min(a.cols, p0 + ts::kGemmKC);
+        float acc = 0.0f;
+        for (int64_t p = p0; p < p1; ++p) {
+          acc = std::fmaf(a.p[i * a.rstride + p * a.cstride],
+                          b.p[p * b.rstride + j * b.cstride], acc);
+        }
+        out += acc;
+      }
+    }
+  }
   return c;
 }
 
@@ -169,6 +194,54 @@ TEST(GemmTest, ScalarAndAvx2BackendsBitwiseIdentical) {
   }
   EXPECT_EQ(0, std::memcmp(scalar.data(), avx2.data(),
                            scalar.size() * sizeof(float)));
+}
+
+// Pins the determinism contract bit for bit against ContractReference, on
+// every backend, on the serial and the row-block-parallel paths, and for
+// the A layouts the backward products use. Every operand lives in an
+// exact-size heap buffer, so an edge-row read past the end of A is caught
+// under AddressSanitizer.
+TEST(GemmTest, MatchesFmaChainReferenceBitwise) {
+  struct Case {
+    int64_t m, k, n;
+    bool a_transposed;  // A stored k x m, viewed with rstride 1
+  };
+  const Case cases[] = {
+      {67, 129, 35, false},   // m % 6 = 1, n % 16 = 3
+      {101, 300, 17, false},  // m % 6 = 5, k spans two KC blocks
+      {101, 300, 17, true},   // the same through a transposed A view
+      {32, 600, 40, true},    // weight-gradient shape: k = 600, m % 6 = 2
+      {200, 520, 33, false},  // parallel row blocks, three KC blocks
+      {5, 7, 9, false},       // tiny path, m < MR
+      {5, 7, 9, true},
+  };
+  std::vector<ts::simd::Mode> modes = {ts::simd::Mode::kScalar};
+  if (ts::simd::Avx2Supported()) modes.push_back(ts::simd::Mode::kAvx2);
+  Rng rng(2024);
+  for (const Case& cs : cases) {
+    SCOPED_TRACE(testing::Message() << "m=" << cs.m << " k=" << cs.k
+                                    << " n=" << cs.n
+                                    << " a_transposed=" << cs.a_transposed);
+    const std::vector<float> a = RandomVec(cs.m * cs.k, &rng);
+    const std::vector<float> b = RandomVec(cs.k * cs.n, &rng);
+    const std::vector<float> c0 = RandomVec(cs.m * cs.n, &rng);
+    const ts::GemmView av =
+        cs.a_transposed ? ts::GemmView{a.data(), cs.m, cs.k, 1, cs.m}
+                        : ts::GemmView{a.data(), cs.m, cs.k, cs.k, 1};
+    const ts::GemmView bv{b.data(), cs.k, cs.n, cs.n, 1};
+    const std::vector<float> want = ContractReference(av, bv, c0);
+    for (ts::simd::Mode mode : modes) {
+      SimdModeGuard simd_guard(mode);
+      for (int threads : {1, 4}) {
+        ThreadCountGuard thread_guard(threads);
+        std::vector<float> got = c0;
+        ts::GemmAccumulate(av, bv, got.data());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(float)))
+            << "mode=" << static_cast<int>(mode) << " threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(GemmTest, ElementwiseBackendsBitwiseIdentical) {

@@ -1,9 +1,11 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -132,6 +134,86 @@ TEST(ThreadPoolTest, GlobalPoolCanBeResized) {
   });
   for (int c : counts) EXPECT_EQ(c, 1);
   ThreadPool::SetGlobalNumThreads(ThreadPool::DefaultNumThreads());
+}
+
+// Regions issued back to back find the workers still spinning from the
+// previous one; every region must still cover its range exactly once and
+// complete before ParallelFor returns.
+TEST(ThreadPoolTest, BackToBackRegionsWhileWorkersSpin) {
+  ThreadPool pool(4);
+  std::vector<int64_t> counts(64, 0);
+  for (int region = 0; region < 2000; ++region) {
+    pool.ParallelFor(0, 64, 4, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) ++counts[static_cast<size_t>(i)];
+    });
+  }
+  for (int64_t c : counts) EXPECT_EQ(c, 2000);
+}
+
+// Regions spaced wider than the spin window find the workers parked on the
+// condition variable; they must be woken and run their own stripes (chunk c
+// runs on participant c mod Q, and participant 0 is the caller).
+TEST(ThreadPoolTest, RegionsSpacedWiderThanSpinWindowWakeParkedWorkers) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int region = 0; region < 20; ++region) {
+    std::this_thread::sleep_for(3 * ThreadPool::kSpinWindow);
+    std::vector<std::thread::id> ran_on(3);
+    pool.ParallelFor(0, 3, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+      }
+    });
+    EXPECT_EQ(ran_on[0], caller) << "region " << region;
+    EXPECT_NE(ran_on[1], caller) << "region " << region;
+    EXPECT_NE(ran_on[2], caller) << "region " << region;
+    EXPECT_NE(ran_on[1], ran_on[2]) << "region " << region;
+  }
+}
+
+// Destroying a pool right after a region, while its workers still spin,
+// must stop and join them promptly rather than hang or touch freed state.
+TEST(ThreadPoolTest, DestructionWhileWorkersSpin) {
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(4);
+    std::atomic<int64_t> sum{0};
+    pool.ParallelFor(0, 100, 10, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        sum.fetch_add(i, std::memory_order_relaxed);
+      }
+    });
+    EXPECT_EQ(sum.load(), 99 * 100 / 2);
+  }
+  // A pool that never ran a region: its workers only ever spun or slept.
+  for (int round = 0; round < 50; ++round) ThreadPool idle(4);
+}
+
+TEST(ThreadPoolTest, SetGlobalNumThreadsWhileWorkersSpin) {
+  for (int round = 0; round < 100; ++round) {
+    ThreadPool::SetGlobalNumThreads(1 + round % 4);
+    std::vector<int> counts(32, 0);
+    ThreadPool::Global().ParallelFor(0, 32, 3, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) ++counts[static_cast<size_t>(i)];
+    });
+    for (int c : counts) ASSERT_EQ(c, 1) << "round " << round;
+  }
+  ThreadPool::SetGlobalNumThreads(ThreadPool::DefaultNumThreads());
+}
+
+// Regions with fewer chunks than threads enroll fewer participants; the
+// surplus workers claim the region under the lock and go back to spinning.
+// Interleave them with full regions so a worker that sat one region out
+// must still join the next.
+TEST(ThreadPoolTest, RegionsWithFewerChunksThanThreads) {
+  ThreadPool pool(6);
+  for (int region = 0; region < 1000; ++region) {
+    const int64_t chunks = 2 + region % 6;  // 2..7 chunks on 6 threads
+    std::vector<int> counts(static_cast<size_t>(chunks * 5), 0);
+    pool.ParallelFor(0, chunks * 5, 5, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) ++counts[static_cast<size_t>(i)];
+    });
+    for (int c : counts) ASSERT_EQ(c, 1) << "region " << region;
+  }
 }
 
 }  // namespace
