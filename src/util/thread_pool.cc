@@ -2,8 +2,16 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <thread>
+
+#include <sched.h>
+#include <sys/resource.h>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "util/check.h"
 
@@ -20,17 +28,74 @@ std::unique_ptr<ThreadPool>& GlobalSlot() {
   return pool;
 }
 
+/// One spin-wait step: tells the core this is a busy-wait without giving
+/// the core away.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  __asm__ __volatile__("yield");
+#endif
+}
+
+int64_t SteadyNanos(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             t.time_since_epoch())
+      .count();
+}
+
+/// CPUs the calling thread may run on. hardware_concurrency() counts every
+/// CPU of the machine, also under taskset or a cpuset.
+int AllowedCpus() {
+#ifdef CPU_COUNT
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+#endif
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+/// Times the calling thread was preempted by this machine's scheduler in
+/// favour of another runnable thread. Time the hypervisor takes the whole
+/// virtual CPU away does not count: no thread here could have used it.
+/// -1 where the count is unavailable.
+int64_t Preemptions() {
+#ifdef RUSAGE_THREAD
+  struct rusage usage;
+  if (getrusage(RUSAGE_THREAD, &usage) == 0) return usage.ru_nivcsw;
+#endif
+  return -1;
+}
+
 /// Polls `done` until it returns true or ThreadPool::kSpinWindow elapses;
-/// returns the last poll's result. Each poll yields the CPU, so on an
-/// oversubscribed core the spinner hands its time slice to the thread it is
-/// waiting for instead of burning it.
+/// returns the last poll's result. The spin never yields: a yield hands the
+/// core to any runnable thread, on a loaded machine often another process's,
+/// which then keeps it for a whole time slice while this pool's region
+/// waits. Instead, a gap longer than ThreadPool::kPreemptGap between two
+/// polls, over which the scheduler preempted the spinner, shows another
+/// thread wanted its core. The spin ends there and every spin of the pool
+/// is skipped until `*spin_off_until` (steady-clock ns),
+/// ThreadPool::kContentionBackoff later. A contended pool thus parks on its
+/// condition variables, whose wakeups the scheduler serves promptly.
 template <typename Pred>
-bool SpinUntil(Pred done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + ThreadPool::kSpinWindow;
+bool SpinUntil(std::atomic<int64_t>* spin_off_until, Pred done) {
+  if (done()) return true;
+  auto last = std::chrono::steady_clock::now();
+  if (SteadyNanos(last) < spin_off_until->load(std::memory_order_relaxed)) {
+    return false;
+  }
+  const int64_t preempted = Preemptions();
+  const auto deadline = last + ThreadPool::kSpinWindow;
   while (!done()) {
-    std::this_thread::yield();
-    if (std::chrono::steady_clock::now() >= deadline) return done();
+    CpuRelax();
+    const auto now = std::chrono::steady_clock::now();
+    if (now - last > ThreadPool::kPreemptGap &&
+        (preempted < 0 || Preemptions() != preempted)) {
+      spin_off_until->store(SteadyNanos(now + ThreadPool::kContentionBackoff),
+                            std::memory_order_relaxed);
+      return done();
+    }
+    if (now >= deadline) return done();
+    last = now;
   }
   return true;
 }
@@ -39,6 +104,12 @@ bool SpinUntil(Pred done) {
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
   CPDG_CHECK_GE(num_threads, 1);
+  // A pool wider than the CPUs it may use is oversubscribed from the
+  // start: it never spins.
+  if (num_threads_ > AllowedCpus()) {
+    spin_off_until_.store(std::numeric_limits<int64_t>::max(),
+                          std::memory_order_relaxed);
+  }
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int w = 1; w < num_threads_; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -108,7 +179,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   tls_inside_parallel_region = false;
 
   if (region.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1 &&
-      !SpinUntil([&] {
+      !SpinUntil(&spin_off_until_, [&] {
         return region.remaining.load(std::memory_order_acquire) == 0;
       })) {
     std::unique_lock<std::mutex> lk(mu_);
@@ -128,7 +199,7 @@ void ThreadPool::WorkerLoop(int worker_id) {
   while (true) {
     // The spin only shortens the wait; the region is still claimed under
     // the lock below, whichever way the wait ended.
-    SpinUntil([&] {
+    SpinUntil(&spin_off_until_, [&] {
       return stop_.load(std::memory_order_acquire) ||
              region_gen_.load(std::memory_order_acquire) != seen_gen;
     });

@@ -36,7 +36,12 @@ namespace cpdg::util {
 /// and the caller polls for its region's completion for the same window
 /// before it sleeps. Back-to-back regions (the training step's GEMMs and
 /// row kernels) therefore cost no futex round trip, while an idle pool
-/// sleeps after at most kSpinWindow.
+/// sleeps after at most kSpinWindow. A spinner that this machine's
+/// scheduler preempted mid-spin (two polls more than kPreemptGap apart,
+/// with an involuntary context switch in between) turns spinning off for
+/// the whole pool for kContentionBackoff: on an oversubscribed machine the
+/// pool parks instead of competing for CPU with the threads that have work.
+/// A pool with more threads than the CPUs it may run on never spins.
 class ThreadPool {
  public:
   /// Total parallelism including the calling thread: a pool of size P
@@ -76,6 +81,15 @@ class ThreadPool {
   /// so the workers stay awake through a step.
   static constexpr std::chrono::microseconds kSpinWindow{1000};
 
+  /// Two spin polls further apart than this may mean the spinner lost its
+  /// core to another thread; uncontended polls are well under a microsecond
+  /// apart. The involuntary context switch count then tells a preemption
+  /// from an interrupt or from the hypervisor pausing the virtual CPU.
+  static constexpr std::chrono::microseconds kPreemptGap{50};
+
+  /// How long the pool stops spinning after a spinner was preempted.
+  static constexpr std::chrono::milliseconds kContentionBackoff{100};
+
  private:
   /// Shared state of one in-flight ParallelFor region.
   struct Region {
@@ -105,6 +119,8 @@ class ThreadPool {
   // without the lock.
   std::atomic<uint64_t> region_gen_{0};
   std::atomic<bool> stop_{false};
+  /// Steady-clock nanoseconds before which no thread of the pool spins.
+  std::atomic<int64_t> spin_off_until_{0};
 };
 
 }  // namespace cpdg::util

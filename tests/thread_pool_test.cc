@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include <sched.h>
+
 #include <gtest/gtest.h>
 
 namespace cpdg::util {
@@ -214,6 +216,62 @@ TEST(ThreadPoolTest, RegionsWithFewerChunksThanThreads) {
     });
     for (int c : counts) ASSERT_EQ(c, 1) << "region " << region;
   }
+}
+
+// A pool built on a thread pinned to one CPU is wider than the CPUs it may
+// use, so it never spins; every region must still run on its workers and
+// cover its range exactly once.
+TEST(ThreadPoolTest, PoolWiderThanAllowedCpusParksInsteadOfSpinning) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  {
+    ThreadPool pool(4);
+    std::vector<int64_t> counts(64, 0);
+    for (int region = 0; region < 500; ++region) {
+      pool.ParallelFor(0, 64, 4, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) ++counts[static_cast<size_t>(i)];
+      });
+    }
+    for (int64_t c : counts) EXPECT_EQ(c, 500);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+}
+
+// Busy threads outnumbering the CPUs preempt spinning workers, which can
+// turn spinning off for the pool; regions issued while that happens, and
+// after the busy threads stop, must each cover their range exactly once.
+TEST(ThreadPoolTest, RegionsStayExactWhileBusyThreadsPreemptSpinners) {
+  const int busy_count = static_cast<int>(
+      std::clamp<unsigned>(2 * std::thread::hardware_concurrency(), 2, 8));
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> busy;
+  for (int t = 0; t < busy_count; ++t) {
+    busy.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  ThreadPool pool(4);
+  std::vector<int64_t> counts(64, 0);
+  for (int region = 0; region < 2000; ++region) {
+    if (region == 1000) {
+      stop.store(true, std::memory_order_relaxed);
+      for (std::thread& t : busy) t.join();
+    }
+    pool.ParallelFor(0, 64, 4, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) ++counts[static_cast<size_t>(i)];
+    });
+  }
+  for (int64_t c : counts) EXPECT_EQ(c, 2000);
 }
 
 }  // namespace
