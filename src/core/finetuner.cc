@@ -87,12 +87,12 @@ FineTunedModel FineTuneLinkPrediction(dgnn::DgnnEncoder* encoder,
   loop_options.learning_rate = config.train.learning_rate;
   loop_options.grad_clip = config.train.grad_clip;
   loop_options.log_label = "fine-tune";
-  // Negative draws move onto per-(epoch, batch) streams so prefetch workers
-  // can assemble batches ahead of the consumer without reordering draws.
+  // Negative draws come from per-(epoch, batch) streams, so each batch's
+  // content depends only on its position.
   loop_options.prepare_stream_seed = rng->NextUint64();
   train::TrainLoop loop(std::move(params), loop_options);
 
-  train::TrainTelemetry result = loop.RunChronologicalPrepared(
+  train::TrainTelemetry result = loop.RunChronological(
       encoder, graph, config.train.batch_size,
       [&](const train::BatchContext&, const graph::EventBatch& batch,
           Rng* batch_rng) -> std::any {

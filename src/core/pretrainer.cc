@@ -178,7 +178,7 @@ PretrainResult CpdgPretrainer::Pretrain(dgnn::DgnnEncoder* encoder,
   loop_options.max_batches = config_.max_batches;
   // All prepare-stage randomness (negative draws, anchor subsampling,
   // subgraph sampling) flows through per-(epoch, batch) streams derived
-  // from this seed, so prefetched and serial runs draw identically. The
+  // from this seed, so a batch draws the same whatever ran before it. The
   // draw happens before any possible resume: a re-run of this function
   // derives the same seed, and the checkpointed rng_ state already
   // reflects it.
@@ -236,16 +236,15 @@ PretrainResult CpdgPretrainer::Pretrain(dgnn::DgnnEncoder* encoder,
     }
   });
 
-  // Pipelined objective: the prepare stage (negative sampling, anchor
-  // subsampling, η-BFS/ε-DFS subgraph draws) is a pure function of const
-  // graph state and the per-batch RNG stream, so prefetch workers can run
-  // it for batches K+1..K+depth while batch K's compute stage (embeddings,
-  // pooling, losses — all of which touch encoder memory) runs here.
+  // The prepare stage (negative sampling, anchor subsampling, η-BFS/ε-DFS
+  // subgraph draws) is a pure function of const graph state and the
+  // per-batch RNG stream; the compute stage (embeddings, pooling, losses)
+  // is what touches encoder memory.
   struct Payload {
     train::LinkBatch lb;
     PreparedContrast contrast;
   };
-  result.log = loop.RunChronologicalPrepared(
+  result.log = loop.RunChronological(
       encoder, graph, config_.batch_size,
       [&](const train::BatchContext&, const graph::EventBatch& batch,
           Rng* rng) -> std::any {

@@ -94,16 +94,17 @@ class CpdgPretrainer {
   const CpdgConfig& config() const { return config_; }
 
  private:
-  /// \brief Sampled contrast inputs of one batch, drawn on the pipeline's
-  /// prepare stage (graph reads + per-batch RNG only, no model state).
+  /// \brief Sampled contrast inputs of one batch, drawn in the train
+  /// loop's prepare stage (graph reads + per-batch RNG only, no model
+  /// state).
   struct PreparedContrast {
     std::vector<int64_t> anchor_pos;
     std::vector<sampler::ArenaNodeVec> tp, tn, sp, sn;
   };
 
   /// Anchor subsampling plus the η-BFS / ε-DFS subgraph draws of Eq.
-  /// (9)-(14). Thread-safe: samples off const graph state with the
-  /// per-batch `rng`, so it runs on prefetch workers.
+  /// (9)-(14). Samples off const graph state with the per-batch `rng`
+  /// only.
   PreparedContrast PrepareContrast(
       const sampler::StructuralTemporalSampler& subgraph_sampler,
       const sampler::StructuralTemporalSampler::Options& sample_opts,

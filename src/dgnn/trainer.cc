@@ -43,12 +43,12 @@ TrainLog TrainLinkPrediction(DgnnEncoder* encoder, LinkPredictor* decoder,
   loop_options.learning_rate = options.learning_rate;
   loop_options.grad_clip = options.grad_clip;
   loop_options.log_label = "TLP";
-  // Negative draws move onto per-(epoch, batch) streams so prefetch workers
-  // can assemble batches ahead of the consumer without reordering draws.
+  // Negative draws come from per-(epoch, batch) streams, so each batch's
+  // content depends only on its position.
   loop_options.prepare_stream_seed = rng->NextUint64();
   train::TrainLoop loop(std::move(params), loop_options);
 
-  train::TrainTelemetry result = loop.RunChronologicalPrepared(
+  train::TrainTelemetry result = loop.RunChronological(
       encoder, graph, options.batch_size,
       [&](const train::BatchContext&, const graph::EventBatch& batch,
           Rng* batch_rng) -> std::any {

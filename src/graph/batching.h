@@ -17,28 +17,6 @@ struct EventBatch {
   int64_t size() const { return static_cast<int64_t>(events.size()); }
 };
 
-/// \brief Iterates a graph store's events in fixed-size chronological
-/// batches. DGNN training processes batches in order so that memory states
-/// only ever see the past. Works against any GraphStore backend via its
-/// bulk ReadEvents primitive.
-class ChronologicalBatcher {
- public:
-  ChronologicalBatcher(const GraphStore* graph, int64_t batch_size);
-
-  /// Resets iteration to the first event.
-  void Reset();
-
-  /// Returns false when exhausted; otherwise fills `batch`.
-  bool Next(EventBatch* batch);
-
-  int64_t num_batches() const;
-
- private:
-  const GraphStore* graph_;
-  int64_t batch_size_;
-  int64_t cursor_ = 0;
-};
-
 }  // namespace cpdg::graph
 
 #endif  // CPDG_GRAPH_BATCHING_H_

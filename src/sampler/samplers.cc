@@ -14,10 +14,9 @@ namespace cpdg::sampler {
 namespace {
 
 // Traversal scratch lives in arena-backed vectors: under an ArenaScope
-// (TrainLoop's consumer thread, each prefetch worker) the per-call
-// buffers recycle through the thread's pool instead of hitting global
-// operator new — the contrast objective runs thousands of these
-// traversals per batch.
+// (TrainLoop's thread) the per-call buffers recycle through the thread's
+// pool instead of hitting global operator new — the contrast objective
+// runs thousands of these traversals per batch.
 template <typename T>
 using AVec = std::vector<T, tensor::ArenaAllocator<T>>;
 

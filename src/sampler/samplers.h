@@ -14,8 +14,8 @@ using graph::GraphStore;
 using graph::NodeId;
 
 /// Arena-backed containers for sampled subgraphs: under an ArenaScope
-/// (training consumer thread, prefetch workers) they recycle through the
-/// thread's batch pool; outside a scope they behave like plain vectors.
+/// (the training thread) they recycle through the thread's batch pool;
+/// outside a scope they behave like plain vectors.
 using ArenaNodeVec = std::vector<NodeId, tensor::ArenaAllocator<NodeId>>;
 using ArenaTimeVec = std::vector<double, tensor::ArenaAllocator<double>>;
 

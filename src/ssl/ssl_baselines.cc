@@ -70,8 +70,7 @@ train::TrainTelemetry PretrainDdgcl(dgnn::DgnnEncoder* encoder,
   params.push_back(critic_w);
 
   // Anchor/view collection is a deterministic function of the const graph,
-  // so it runs on the prefetch workers; no RNG stream is consumed and the
-  // objective is bit-identical at any prefetch depth.
+  // so it is the prepare stage; no RNG stream is consumed.
   struct DdgclViews {
     std::vector<NodeId> anchors;
     std::vector<double> anchor_times;
@@ -79,7 +78,7 @@ train::TrainTelemetry PretrainDdgcl(dgnn::DgnnEncoder* encoder,
   };
 
   train::TrainLoop loop(std::move(params), MakeLoopOptions(options, "DDGCL"));
-  return loop.RunChronologicalPrepared(
+  return loop.RunChronological(
       encoder, graph, options.batch_size,
       [&](const train::BatchContext&, const graph::EventBatch& batch,
           Rng*) -> std::any {
@@ -168,8 +167,8 @@ train::TrainTelemetry PretrainSelfRgnn(dgnn::DgnnEncoder* encoder,
   params.push_back(kappa0);
   params.push_back(kappa1);
 
-  // Anchor selection only reads const graph state, so it prefetches; see
-  // the DDGCL note above.
+  // Anchor selection only reads const graph state, so it is the prepare
+  // stage; see the DDGCL note above.
   struct SelfRgnnAnchors {
     std::vector<NodeId> anchors;
     std::vector<double> anchor_times;
@@ -177,7 +176,7 @@ train::TrainTelemetry PretrainSelfRgnn(dgnn::DgnnEncoder* encoder,
 
   train::TrainLoop loop(std::move(params),
                         MakeLoopOptions(options, "SelfRGNN"));
-  return loop.RunChronologicalPrepared(
+  return loop.RunChronological(
       encoder, graph, options.batch_size,
       [&](const train::BatchContext&, const graph::EventBatch& batch,
           Rng*) -> std::any {

@@ -63,7 +63,7 @@ ArenaStats ArenaResetBatch();
 /// \brief Cumulative counters for the calling thread (never reset).
 ArenaStats ArenaTotals();
 
-/// \brief Programmatic override of the CPDG_ARENA env knob, for benchmarks
+/// \brief Programmatic override of the CPDG_ARENA env knob, for tests
 /// that compare pooled vs unpooled allocation behaviour in one process:
 /// 1 forces pooling on, 0 forces it off, -1 (the default) defers to the
 /// environment. Only consulted when the next ArenaScope is constructed.

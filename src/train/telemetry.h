@@ -21,12 +21,11 @@ namespace cpdg::train {
 struct EpochTelemetry {
   /// Wall-clock time of the epoch (monotonic, seconds).
   double wall_clock_sec = 0.0;
-  /// Producer-side wall time spent sampling + assembling this epoch's
-  /// consumed batches (the prepare stage). With prefetch enabled this
-  /// overlaps compute, so sample_seconds + compute_seconds can exceed
-  /// wall_clock_sec — that surplus is exactly the overlap won.
+  /// Wall time spent reading and preparing (sampling + assembling) this
+  /// epoch's batches. Prepare and compute run in turn on one thread, so
+  /// sample_seconds + compute_seconds never exceeds wall_clock_sec.
   double sample_seconds = 0.0;
-  /// Consumer-side wall time in forward/backward/optimizer/commit.
+  /// Wall time in forward/backward/optimizer/commit.
   double compute_seconds = 0.0;
   /// Batches iterated, including batches that produced no optimizer step.
   int64_t num_batches = 0;
@@ -73,15 +72,6 @@ struct TrainTelemetry : public dgnn::TrainLog {
   /// save never aborts training; the previous checkpoint stays intact).
   int64_t checkpoint_saves = 0;
   int64_t checkpoint_failures = 0;
-
-  /// \name Prefetch-pipeline conservation accounting
-  /// Batches produced / consumed / discarded by the prefetch pipeline over
-  /// this Run call (every produced batch is either consumed or discarded —
-  /// a mid-epoch shutdown must not leak batches). Run-local diagnostics;
-  /// not checkpointed.
-  int64_t prefetch_produced = 0;
-  int64_t prefetch_consumed = 0;
-  int64_t prefetch_discarded = 0;
 
   /// True when the run ended before all epochs via TrainLoop::RequestStop
   /// or TrainLoopOptions::max_batches (graceful shutdown, still OK).

@@ -356,40 +356,16 @@ Status TrainLoop::Rollback(uint32_t mode, int64_t num_batches,
   return Status::OK();
 }
 
-PrefetchOptions TrainLoop::ResolvedPrefetch() const {
-  PrefetchOptions env = PrefetchOptions::FromEnv();
-  PrefetchOptions out;
-  out.depth = options_.prefetch_depth >= 0 ? options_.prefetch_depth
-                                           : env.depth;
-  out.workers = options_.prefetch_workers >= 1 ? options_.prefetch_workers
-                                               : env.workers;
-  return out;
-}
-
 TrainTelemetry TrainLoop::RunChronological(dgnn::DgnnEncoder* encoder,
                                            const graph::GraphStore& graph,
                                            int64_t batch_size,
+                                           const ChronoPrepareFn& prepare_fn,
                                            const ChronoBatchFn& batch_fn) {
-  CPDG_CHECK(batch_fn != nullptr);
-  return RunChronologicalPrepared(
-      encoder, graph, batch_size, /*prepare_fn=*/nullptr,
-      [&batch_fn](const BatchContext& ctx, const graph::EventBatch& batch,
-                  std::any& /*prepared*/) { return batch_fn(ctx, batch); });
-}
-
-TrainTelemetry TrainLoop::RunChronologicalPrepared(
-    dgnn::DgnnEncoder* encoder, const graph::GraphStore& graph,
-    int64_t batch_size, const ChronoPrepareFn& prepare_fn,
-    const PreparedChronoBatchFn& batch_fn) {
   CPDG_CHECK(batch_fn != nullptr);
   CPDG_CHECK_GT(batch_size, 0);
   TrainTelemetry telemetry;
   const int64_t num_events = graph.num_events();
-  // Same boundary math as ChronologicalBatcher: batch i covers events
-  // [i*batch_size, min((i+1)*batch_size, num_events)) — random access by
-  // index is what lets producers fetch their own tickets.
   const int64_t num_batches = (num_events + batch_size - 1) / batch_size;
-  const PrefetchOptions prefetch = ResolvedPrefetch();
 
   // Intra-batch tensor temporaries recycle through the batch arena for the
   // whole run (see tensor/arena.h).
@@ -421,64 +397,45 @@ TrainTelemetry TrainLoop::RunChronologicalPrepared(
     ctx.epoch = epoch;
     ctx.final_epoch = (epoch == options_.epochs - 1);
     // A mid-epoch (re-)entry keeps the restored memory and partial
-    // telemetry and starts the pipeline at the saved cursor; a fresh
-    // epoch resets both, exactly as an uninterrupted run would.
+    // telemetry and starts at the saved cursor; a fresh epoch resets both,
+    // exactly as an uninterrupted run would.
     const bool mid_epoch = (epoch == start_epoch && start_batch > 0);
     if (!mid_epoch) {
       if (encoder != nullptr) encoder->memory().Reset();
       partial = PartialEpoch();
     }
-    const int64_t first = mid_epoch ? start_batch : 0;
-
-    // Producer stage: a pure function of the batch index. All randomness
-    // comes from the (epoch, index)-derived stream, so the result is
-    // independent of worker assignment and production order.
-    auto produce = [this, &graph, &prepare_fn, batch_size, num_events, ctx,
-                    epoch](int64_t index) {
-      PreparedBatch out;
-      util::Timer sample_timer;
-      const int64_t begin = index * batch_size;
-      const int64_t end = std::min(begin + batch_size, num_events);
-      out.events.first_event_index = begin;
-      graph.ReadEvents(begin, end, &out.events.events);
-      if (prepare_fn != nullptr) {
-        CPDG_TRACE_SPAN("train/prepare");
-        BatchContext prepare_ctx = ctx;
-        prepare_ctx.batch_index = index;
-        Rng rng = Rng::ForSubstream(options_.prepare_stream_seed,
-                                    static_cast<uint64_t>(epoch),
-                                    static_cast<uint64_t>(index));
-        out.payload = prepare_fn(prepare_ctx, out.events, &rng);
-      }
-      out.sample_seconds = sample_timer.ElapsedSeconds();
-      return out;
-    };
-    PrefetchPipeline pipeline(prefetch, first, num_batches, produce);
-    // Called on every exit path (return, rollback, epoch end) before
-    // `telemetry` is read or returned: Stop() joins the workers and the
-    // conservation counters roll up into the run telemetry. (The pipeline
-    // destructor still joins on paths that abort via CPDG_CHECK.)
-    auto harvest = [&pipeline, &telemetry] {
-      pipeline.Stop();
-      PrefetchPipeline::Counters c = pipeline.counters();
-      telemetry.prefetch_produced += c.produced;
-      telemetry.prefetch_consumed += c.consumed;
-      telemetry.prefetch_discarded += c.discarded;
-    };
 
     util::Timer timer;
     bool rolled_back = false;
-    for (int64_t index = first; index < num_batches; ++index) {
-      PreparedBatch prepared = pipeline.Next(index);
+    for (int64_t index = mid_epoch ? start_batch : 0; index < num_batches;
+         ++index) {
       ctx.batch_index = index;
+      // Prepare stage: a pure function of (epoch, index). All randomness
+      // comes from the coordinate-derived stream, so batch content does
+      // not depend on how the run got here (fresh, resumed, rolled back).
+      util::Timer sample_timer;
+      graph::EventBatch batch;
+      batch.first_event_index = index * batch_size;
+      graph.ReadEvents(batch.first_event_index,
+                       std::min(batch.first_event_index + batch_size,
+                                num_events),
+                       &batch.events);
+      std::any prepared;
+      if (prepare_fn != nullptr) {
+        CPDG_TRACE_SPAN("train/prepare");
+        Rng rng = Rng::ForSubstream(options_.prepare_stream_seed,
+                                    static_cast<uint64_t>(epoch),
+                                    static_cast<uint64_t>(index));
+        prepared = prepare_fn(ctx, batch, &rng);
+      }
+      const double sample_seconds = sample_timer.ElapsedSeconds();
+
       util::Timer compute_timer;
       if (encoder != nullptr) encoder->BeginBatch();
       std::optional<tensor::Tensor> loss;
       {
-        // Covers the client's compute stage (assembly too on the
-        // non-prepared path).
         CPDG_TRACE_SPAN("train/forward");
-        loss = batch_fn(ctx, prepared.events, prepared.payload);
+        loss = batch_fn(ctx, batch, prepared);
       }
       BatchOutcome outcome = BatchOutcome::kNoLoss;
       if (loss.has_value()) {
@@ -489,11 +446,9 @@ TrainTelemetry TrainLoop::RunChronologicalPrepared(
         telemetry.status = Status::Internal(
             "non-finite loss at epoch " + std::to_string(epoch) +
             ", batch " + std::to_string(ctx.batch_index));
-        harvest();
         return telemetry;
       }
       if (outcome == BatchOutcome::kRollback) {
-        harvest();
         Status status = Rollback(kRunModeChronological, num_batches, encoder,
                                  &telemetry, &partial, &epoch, &start_batch);
         if (!status.ok()) {
@@ -504,9 +459,9 @@ TrainTelemetry TrainLoop::RunChronologicalPrepared(
         rolled_back = true;
         break;
       }
-      if (encoder != nullptr) encoder->CommitBatch(prepared.events.events);
+      if (encoder != nullptr) encoder->CommitBatch(batch.events);
       ++partial.epoch.num_batches;
-      partial.epoch.sample_seconds += prepared.sample_seconds;
+      partial.epoch.sample_seconds += sample_seconds;
       partial.epoch.compute_seconds += compute_timer.ElapsedSeconds();
       RollArenaStats();
       if (batch_end_hook_) batch_end_hook_(ctx);
@@ -518,13 +473,11 @@ TrainTelemetry TrainLoop::RunChronologicalPrepared(
           (options_.max_batches > 0 && batches_run_ >= options_.max_batches)) {
         partial.epoch.wall_clock_sec += timer.ElapsedSeconds();
         telemetry.stopped_early = true;
-        harvest();
         return telemetry;
       }
     }
-    if (rolled_back) continue;  // already harvested on the rollback path
+    if (rolled_back) continue;
     partial.epoch.wall_clock_sec += timer.ElapsedSeconds();
-    harvest();
     FinishEpoch(epoch, partial.loss_sum, partial.epoch, &telemetry);
     ++epoch;
     start_batch = 0;

@@ -15,7 +15,6 @@
 #include "tensor/checkpoint_container.h"
 #include "tensor/optim.h"
 #include "train/checkpoint.h"
-#include "train/prefetch.h"
 #include "train/telemetry.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -68,15 +67,6 @@ struct TrainLoopOptions {
   /// checkpoint_path this simulates a mid-run crash in tests.
   int64_t max_batches = 0;
 
-  /// \name Prefetch pipeline
-  /// Depth (batches prepared ahead) and producer-thread count of the
-  /// prepared-batch pipeline used by chronological runs. Negative values
-  /// (the default) defer to CPDG_PREFETCH_DEPTH / CPDG_PREFETCH_WORKERS
-  /// (defaults: depth 0 = inline, 1 worker). Results are bit-identical at
-  /// any depth/worker combination — see DESIGN.md §13.
-  int64_t prefetch_depth = -1;
-  int64_t prefetch_workers = -1;
-
   /// Base seed of the per-(epoch, batch_index) prepare RNG streams
   /// (Rng::ForSubstream). Clients whose prepare stage draws randomness
   /// (negative sampling, subgraph draws) set this once per run from their
@@ -91,32 +81,26 @@ struct BatchContext {
   int64_t num_epochs = 1;
   /// 0-based batch index within the current epoch.
   int64_t batch_index = 0;
-  /// Batches per epoch (ChronologicalBatcher::num_batches() for
-  /// chronological runs, steps_per_epoch for step runs).
+  /// Batches per epoch (ceil(num_events / batch_size) for chronological
+  /// runs, steps_per_epoch for step runs).
   int64_t num_batches = 0;
   bool final_epoch = false;
 };
 
-/// \brief Computes the loss of one chronological event batch. Returning
-/// nullopt skips the optimizer step for this batch (the batch still
-/// advances encoder memory and counts toward telemetry) — used by
-/// objectives that can find no anchors in a batch.
-using ChronoBatchFn = std::function<std::optional<tensor::Tensor>(
-    const BatchContext& ctx, const graph::EventBatch& batch)>;
-
-/// \brief Producer-side stage of a pipelined chronological batch: all
-/// sampling and assembly work that needs only const graph reads plus the
-/// per-batch RNG stream. Runs on prefetch workers when prefetching is
-/// enabled, so it must not touch encoder memory, parameters, or any other
-/// mutable training state; everything it computes travels to the compute
-/// stage in the returned payload.
+/// \brief Prepare stage of a chronological batch: the sampling and
+/// assembly work that needs only const graph reads plus the per-batch RNG
+/// stream (negative draws, anchor subsampling, subgraph draws). It must
+/// not touch encoder memory or parameters; everything it computes travels
+/// to the batch callback in the returned payload.
 using ChronoPrepareFn = std::function<std::any(
     const BatchContext& ctx, const graph::EventBatch& batch, Rng* rng)>;
 
-/// \brief Consumer-side stage of a pipelined chronological batch: consumes
-/// the prepare payload and computes the loss on the main thread. Same
-/// nullopt-skips-step contract as ChronoBatchFn.
-using PreparedChronoBatchFn = std::function<std::optional<tensor::Tensor>(
+/// \brief Compute stage of a chronological batch: consumes the prepare
+/// payload and returns the loss. Returning nullopt skips the optimizer
+/// step for this batch (the batch still advances encoder memory and counts
+/// toward telemetry) — used by objectives that can find no anchors in a
+/// batch.
+using ChronoBatchFn = std::function<std::optional<tensor::Tensor>(
     const BatchContext& ctx, const graph::EventBatch& batch,
     std::any& prepared)>;
 
@@ -149,16 +133,14 @@ struct CheckpointClientSection {
 /// encoder-memory reset and per-batch BeginBatch/CommitBatch lifecycle
 /// (chronological runs), and telemetry (per-epoch wall-clock, batch
 /// counts, mean loss, gradient norms). Call sites supply only the
-/// objective as a batch callback. Centralizing the iteration here is what
-/// lets batching, instrumentation and (later) parallel negative sampling /
-/// prefetching land in one place.
+/// objective as a batch callback.
 ///
 /// \par Crash safety
 /// With checkpoint_path set, the loop periodically publishes its complete
 /// state through the atomic temp-file-plus-rename path, and ResumeFrom()
 /// stages a previously written checkpoint: the next Run call restores all
-/// state, fast-forwards the chronological batcher to the saved cursor and
-/// continues, producing results bit-identical to an uninterrupted run.
+/// state and continues from the saved batch cursor, producing results
+/// bit-identical to an uninterrupted run.
 class TrainLoop {
  public:
   TrainLoop(std::vector<tensor::Tensor> params,
@@ -186,27 +168,19 @@ class TrainLoop {
   /// with stopped_early = true. Safe to call from batch callbacks/hooks.
   void RequestStop() { stop_requested_ = true; }
 
-  /// \brief Chronological event-stream training over `graph`: one
-  /// ChronologicalBatcher is constructed up front and Reset() per epoch;
-  /// when `encoder` is non-null its memory is reset at each epoch start
-  /// and every batch is wrapped in BeginBatch / CommitBatch (the TGN
-  /// within-batch protocol).
+  /// \brief Chronological event-stream training over `graph`. Batch i of
+  /// every epoch covers events [i*batch_size, min((i+1)*batch_size,
+  /// num_events)). Each batch reads its events, runs `prepare_fn` (may be
+  /// null) with the RNG stream Rng::ForSubstream(prepare_stream_seed,
+  /// epoch, i), then runs `batch_fn` on the payload. When `encoder` is
+  /// non-null its memory is reset at each epoch start and every compute
+  /// stage is wrapped in BeginBatch / CommitBatch (the TGN within-batch
+  /// protocol).
   TrainTelemetry RunChronological(dgnn::DgnnEncoder* encoder,
                                   const graph::GraphStore& graph,
                                   int64_t batch_size,
+                                  const ChronoPrepareFn& prepare_fn,
                                   const ChronoBatchFn& batch_fn);
-
-  /// \brief Pipelined chronological training: `prepare_fn` (sampling +
-  /// batch assembly; may be null) runs through the prefetch pipeline —
-  /// inline at depth 0, on producer threads at depth > 0 — while
-  /// `batch_fn` consumes payloads in batch order on this thread. Batch
-  /// boundaries and results are identical to RunChronological; per-batch
-  /// RNG streams (Rng::ForSubstream over prepare_stream_seed) make the
-  /// loss sequence bit-identical at every depth/worker setting.
-  TrainTelemetry RunChronologicalPrepared(
-      dgnn::DgnnEncoder* encoder, const graph::GraphStore& graph,
-      int64_t batch_size, const ChronoPrepareFn& prepare_fn,
-      const PreparedChronoBatchFn& batch_fn);
 
   /// \brief Step-based training: `steps_per_epoch` invocations of
   /// `step_fn` per epoch with no event stream or encoder lifecycle.
@@ -233,10 +207,6 @@ class TrainLoop {
     return !options_.checkpoint_path.empty() &&
            options_.checkpoint_every_batches > 0;
   }
-
-  /// Effective pipeline knobs: explicit options win, otherwise the
-  /// CPDG_PREFETCH_* environment.
-  PrefetchOptions ResolvedPrefetch() const;
 
   /// Publishes full state with the cursor after `batches_done` completed
   /// batches of `epoch`. Failures are logged and counted, not fatal.

@@ -97,11 +97,10 @@ class Rng {
   Rng Split() { return Rng(NextUint64() ^ 0xD1B54A32D192ED03ULL); }
 
   /// \brief Derives the generator for substream (a, b) of `seed` without
-  /// advancing any other generator. Used by the prefetching train loop to
-  /// give batch (epoch=a, batch_index=b) its own stream: the stream depends
-  /// only on the coordinates, never on which worker thread produced the
-  /// batch or in what order batches were prepared, which is what makes
-  /// prefetched runs bit-identical to serial ones.
+  /// advancing any other generator. Used by the chronological train loop
+  /// to give batch (epoch=a, batch_index=b) its own stream: the stream
+  /// depends only on the coordinates, so a batch's content is a pure
+  /// function of its position, whatever ran before it.
   static Rng ForSubstream(uint64_t seed, uint64_t a, uint64_t b) {
     // Two rounds of the SplitMix64 finalizer over (seed, a, b); the odd
     // multiplicative constants decorrelate neighbouring coordinates.

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/batching.h"
-
 namespace cpdg::graph {
 namespace {
 
@@ -114,27 +112,6 @@ TEST(StaticSnapshotTest, RespectsTimeCutoff) {
   auto snap = StaticSnapshot::FromTemporalGraph(g, 3.0);
   EXPECT_EQ(snap.Degree(2), 0);
   EXPECT_EQ(snap.Degree(0), 1);
-}
-
-TEST(BatcherTest, CoversAllEventsInOrder) {
-  auto g = TemporalGraph::Create(4, MakeEvents()).ValueOrDie();
-  ChronologicalBatcher batcher(&g, 2);
-  EXPECT_EQ(batcher.num_batches(), 3);
-  EventBatch batch;
-  int64_t total = 0;
-  double last_time = -1.0;
-  while (batcher.Next(&batch)) {
-    for (const Event& e : batch.events) {
-      EXPECT_GE(e.time, last_time);
-      last_time = e.time;
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, 5);
-  EXPECT_FALSE(batcher.Next(&batch));
-  batcher.Reset();
-  EXPECT_TRUE(batcher.Next(&batch));
-  EXPECT_EQ(batch.first_event_index, 0);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // edge cases, registry JSON, scoped-span nesting and ordering,
 // cross-thread span-merge determinism at 1 vs 4 threads, the
 // disabled-mode zero-cost contract (no allocations, nothing recorded),
-// and the Chrome trace-event JSON round trip.
+// the Chrome trace-event JSON round trip, and the batch arena's
+// allocation cut on a CPDG pre-training epoch.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +16,21 @@
 #include <string>
 #include <vector>
 
+#include "core/pretrainer.h"
+#include "dgnn/encoder.h"
+#include "graph/temporal_graph.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_export.h"
+#include "tensor/arena.h"
 #include "util/atomic_file.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
-// Allocation probe for the disabled-mode test: every operator new on this
-// thread bumps a thread-local counter. Worker threads and gtest internals
-// do not disturb a measurement taken around single-threaded code.
+// Allocation probe for the disabled-mode and arena tests: every operator
+// new on this thread bumps a thread-local counter. Worker threads and
+// gtest internals do not disturb a measurement taken around
+// single-threaded code.
 namespace {
 thread_local int64_t tl_alloc_count = 0;
 }  // namespace
@@ -369,6 +376,61 @@ TEST(TraceExportTest, RejectsMalformedDocuments) {
                   "[{\"name\": \"a\", \"ph\": \"X\", \"ts\": 1, "
                   "\"extra\": null}]}")
                   .ok());
+}
+
+// --- Batch arena ----------------------------------------------------------
+
+// Global operator-new calls per batch on the calling thread over one CPDG
+// pre-training epoch: 300 nodes, 4k events, batch 100, dims 16.
+double PretrainAllocsPerBatch(bool arena) {
+  tensor::SetArenaEnabledOverride(arena ? 1 : 0);
+  constexpr int64_t kNodes = 300, kEvents = 4000, kBatch = 100;
+  Rng graph_rng(11);
+  std::vector<graph::Event> events;
+  for (int64_t i = 0; i < kEvents; ++i) {
+    auto a = static_cast<graph::NodeId>(graph_rng.NextBounded(kNodes / 2));
+    auto b = static_cast<graph::NodeId>(kNodes / 2 +
+                                        graph_rng.NextBounded(kNodes / 2));
+    events.push_back({a, b, static_cast<double>(i) * 0.001});
+  }
+  graph::TemporalGraph g =
+      graph::TemporalGraph::Create(kNodes, events).ValueOrDie();
+
+  Rng rng(13);
+  dgnn::EncoderConfig config =
+      dgnn::EncoderConfig::Preset(dgnn::EncoderType::kTgn, kNodes);
+  config.memory_dim = 16;
+  config.embed_dim = 16;
+  config.time_dim = 8;
+  config.num_neighbors = 5;
+  dgnn::DgnnEncoder encoder(config, &g, &rng);
+  dgnn::LinkPredictor decoder(16, 16, &rng);
+  core::CpdgConfig cpdg;
+  cpdg.epochs = 1;
+  cpdg.batch_size = kBatch;
+  cpdg.num_checkpoints = 4;
+  cpdg.max_contrast_anchors = 32;
+  cpdg.sample_width = 3;
+  cpdg.sample_depth = 2;
+  core::CpdgPretrainer pretrainer(cpdg, &rng);
+
+  int64_t before = tl_alloc_count;
+  core::PretrainResult result = pretrainer.Pretrain(&encoder, &decoder, g);
+  int64_t allocs = tl_alloc_count - before;
+  tensor::SetArenaEnabledOverride(-1);
+  EXPECT_TRUE(result.log.status.ok());
+  return static_cast<double>(allocs) / static_cast<double>(kEvents / kBatch);
+}
+
+TEST(ArenaTest, CutsPretrainAllocationsPerBatchFiveFold) {
+  // A 1-thread kernel pool keeps every allocation on this thread.
+  util::ThreadPool::SetGlobalNumThreads(1);
+  double pooled = PretrainAllocsPerBatch(/*arena=*/true);
+  double unpooled = PretrainAllocsPerBatch(/*arena=*/false);
+  util::ThreadPool::SetGlobalNumThreads(util::ThreadPool::DefaultNumThreads());
+  EXPECT_GE(unpooled, 5.0 * pooled)
+      << "allocations per batch: " << unpooled << " without the arena, "
+      << pooled << " with it";
 }
 
 }  // namespace

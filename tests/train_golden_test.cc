@@ -2,13 +2,19 @@
 // migrated onto the shared training runtime (src/train/). Each scenario
 // fixes every seed and asserts the per-epoch losses against values
 // captured from the pre-refactor hand-rolled loops: the migration must be
-// behavior-preserving down to floating-point op order.
+// behavior-preserving down to floating-point op order. The BatcherTest and
+// TrainPipelineTest cases pin the chronological loop's own contract: batch
+// boundaries, the per-batch prepare RNG streams, the sample/compute time
+// split, and a mid-epoch stop.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <any>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/finetuner.h"
@@ -18,6 +24,7 @@
 #include "graph/temporal_graph.h"
 #include "ssl/ssl_baselines.h"
 #include "static_gnn/static_gnn.h"
+#include "train/train_loop.h"
 
 namespace cpdg {
 namespace {
@@ -104,10 +111,8 @@ TEST(TrainGoldenTest, CpdgPretrain) {
   core::PretrainResult result = pretrainer.Pretrain(&encoder, &decoder, g);
   // Re-captured when batch preparation (negative sampling, anchor
   // subsampling, subgraph draws) moved onto per-(epoch, batch) RNG
-  // streams for the prefetch pipeline: the same loops now draw from
-  // substreams instead of the shared sequential stream, which permutes
-  // the sampled negatives/subgraphs. The values are identical at every
-  // prefetch depth/worker count — see train_pipeline_test.
+  // streams: the same loops now draw from substreams instead of the shared
+  // sequential stream, which permutes the sampled negatives/subgraphs.
   CheckGolden("cpdg_pretrain", result.log.epoch_losses,
               {0.97928743064403534, 0.94933062046766281});
 
@@ -271,6 +276,125 @@ TEST(TrainGoldenTest, NodeClassificationHead) {
               {metrics.head_log.epoch_losses.front(),
                metrics.head_log.epoch_losses.back()},
               {0.74420899152755737, 0.28536489605903625});
+}
+
+// --- The chronological loop itself ---------------------------------------
+
+TEST(BatcherTest, CoversAllEventsInOrder) {
+  // Deliberately unsorted input; the graph sorts it by time.
+  TemporalGraph g = TemporalGraph::Create(4, {{0, 1, 5.0},
+                                              {0, 2, 1.0},
+                                              {1, 2, 3.0},
+                                              {0, 1, 2.0},
+                                              {2, 3, 4.0}})
+                        .ValueOrDie();
+  train::TrainLoop loop({tensor::Tensor::Zeros(1, 1, true)},
+                        train::TrainLoopOptions());
+  std::vector<int64_t> firsts, sizes, num_batches;
+  std::vector<double> times;
+  train::TrainTelemetry log = loop.RunChronological(
+      /*encoder=*/nullptr, g, /*batch_size=*/2, /*prepare_fn=*/nullptr,
+      [&](const train::BatchContext& ctx, const graph::EventBatch& batch,
+          std::any&) -> std::optional<tensor::Tensor> {
+        firsts.push_back(batch.first_event_index);
+        sizes.push_back(batch.size());
+        num_batches.push_back(ctx.num_batches);
+        for (const Event& e : batch.events) times.push_back(e.time);
+        return std::nullopt;
+      });
+  ASSERT_TRUE(log.status.ok());
+  EXPECT_EQ(firsts, (std::vector<int64_t>{0, 2, 4}));
+  EXPECT_EQ(sizes, (std::vector<int64_t>{2, 2, 1}));  // short last batch
+  EXPECT_EQ(num_batches, (std::vector<int64_t>{3, 3, 3}));
+  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}));
+  ASSERT_EQ(log.epochs.size(), 1u);
+  EXPECT_EQ(log.epochs[0].num_batches, 3);
+  EXPECT_EQ(log.epochs[0].num_steps, 0);
+}
+
+TEST(TrainPipelineTest, PrepareRngIsTheBatchSubstream) {
+  // Batch content is a pure function of (epoch, batch index): the prepare
+  // stage's generator is Rng::ForSubstream(prepare_stream_seed, epoch,
+  // index), untouched by anything that ran before it.
+  TemporalGraph g = MakeGraphA(3, /*events_count=*/50);
+  train::TrainLoopOptions options;
+  options.epochs = 2;
+  options.prepare_stream_seed = 0x5eedULL;
+  train::TrainLoop loop({tensor::Tensor::Zeros(1, 1, true)}, options);
+  int64_t prepared = 0;
+  train::TrainTelemetry log = loop.RunChronological(
+      /*encoder=*/nullptr, g, /*batch_size=*/20,
+      [&](const train::BatchContext& ctx, const graph::EventBatch&,
+          Rng* rng) -> std::any {
+        Rng expected = Rng::ForSubstream(
+            options.prepare_stream_seed, static_cast<uint64_t>(ctx.epoch),
+            static_cast<uint64_t>(ctx.batch_index));
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_EQ(rng->NextUint64(), expected.NextUint64())
+              << "epoch " << ctx.epoch << " batch " << ctx.batch_index;
+        }
+        ++prepared;
+        return ctx.batch_index;
+      },
+      [&](const train::BatchContext& ctx, const graph::EventBatch&,
+          std::any& payload) -> std::optional<tensor::Tensor> {
+        EXPECT_EQ(std::any_cast<int64_t>(payload), ctx.batch_index);
+        return std::nullopt;
+      });
+  ASSERT_TRUE(log.status.ok());
+  EXPECT_EQ(prepared, 6);  // 2 epochs x ceil(50 / 20) batches
+}
+
+TEST(TrainPipelineTest, TelemetrySplitsSampleAndComputeTime) {
+  // Prepare time lands in sample_seconds and the compute stage in
+  // compute_seconds; they run in turn, so together they fit in the wall
+  // clock.
+  TemporalGraph g = MakeGraphA(11);
+  Rng rng(13);
+  dgnn::DgnnEncoder encoder(SmallConfig(g.num_nodes()), &g, &rng);
+  dgnn::LinkPredictor decoder(8, 8, &rng);
+  core::CpdgConfig config;
+  config.epochs = 1;
+  config.batch_size = 50;
+  config.num_checkpoints = 2;
+  config.max_contrast_anchors = 16;
+  core::CpdgPretrainer pretrainer(config, &rng);
+  core::PretrainResult result = pretrainer.Pretrain(&encoder, &decoder, g);
+  ASSERT_TRUE(result.log.status.ok());
+  ASSERT_EQ(result.log.epochs.size(), 1u);
+  const train::EpochTelemetry& et = result.log.epochs[0];
+  EXPECT_GT(et.sample_seconds, 0.0);
+  EXPECT_GT(et.compute_seconds, 0.0);
+  EXPECT_LE(et.sample_seconds + et.compute_seconds, et.wall_clock_sec);
+}
+
+TEST(TrainPipelineTest, MidEpochStopThroughTrainLoopConserves) {
+  // A max_batches stop lands mid-epoch (8 batches per epoch): every batch
+  // the loop prepared was also computed, and none past the stop.
+  TemporalGraph g = MakeGraphA(31);
+  train::TrainLoopOptions options;
+  options.epochs = 2;
+  options.max_batches = 5;
+  train::TrainLoop loop({tensor::Tensor::Zeros(1, 1, true)}, options);
+  int64_t prepared = 0, computed = 0;
+  train::TrainTelemetry log = loop.RunChronological(
+      /*encoder=*/nullptr, g, /*batch_size=*/50,
+      [&](const train::BatchContext&, const graph::EventBatch&,
+          Rng*) -> std::any {
+        ++prepared;
+        return {};
+      },
+      [&](const train::BatchContext& ctx, const graph::EventBatch&,
+          std::any&) -> std::optional<tensor::Tensor> {
+        EXPECT_EQ(ctx.batch_index, computed);
+        ++computed;
+        return std::nullopt;
+      });
+  ASSERT_TRUE(log.status.ok());
+  EXPECT_TRUE(log.stopped_early);
+  EXPECT_EQ(prepared, 5);
+  EXPECT_EQ(computed, 5);
+  EXPECT_TRUE(log.epochs.empty());
 }
 
 TEST(SampleNegativeTest, DegeneratePoolFallsBackToPositive) {
